@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -23,17 +22,6 @@ from .geometry import SolutionField
 from .hjb import HjbOptions, hjb_residual, solve_hjb
 from .nidd import SolverOptions, solve_nidd
 from .operators import interior_gradient
-
-
-def _worker_cap():
-    raw = os.environ.get("GRADCAP_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError("GRADCAP_THREADS", f"not an integer: {raw!r}")
-    if cap < 1:
-        raise ValidationError("GRADCAP_THREADS", "must be >= 1")
-    return cap
 
 
 def _fmt(x):
@@ -124,7 +112,6 @@ def cmd_solve_nidd(args):
             "max_value": rep.max_value,
             "grad_sup": rep.grad_sup,
             "converged": rep.converged,
-            "worker_cap": _worker_cap(),
         })
     if args.dump_matrix:
         from scipy.io import mmwrite
@@ -159,7 +146,6 @@ def cmd_solve_hjb(args):
             "grad_sup": rep.grad_sup,
             "bound_C1": rep.bound_C1,
             "iterations_total": rep.iterations_total,
-            "worker_cap": _worker_cap(),
         })
     return exit_code
 
@@ -345,7 +331,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _worker_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

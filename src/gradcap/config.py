@@ -381,14 +381,11 @@ def build_spec(raw):
 
     sd = raw.get("solver", {})
     _expect_keys(sd, "solver", (),
-                 ("tol_update_factor", "tol_res_factor", "max_iter",
-                  "damping", "fold_nonlocal"))
+                 ("tol_update_factor", "tol_res_factor", "max_iter"))
     solver_options = SolverOptions(
         tol_update_factor=sd.get("tol_update_factor", 1e-8),
         tol_res_factor=sd.get("tol_res_factor", 1e-6),
         max_iter=sd.get("max_iter", 500),
-        damping=sd.get("damping", 0.7),
-        fold_nonlocal=sd.get("fold_nonlocal", False),
     )
 
     q_val = raw.get("q")

@@ -29,20 +29,18 @@ class SingularSystem(GradcapError):
     """Linear Dirichlet system could not be factorized."""
 
 
-class InnerDivergence(GradcapError):
-    """Lagged nonlocal fixed point failed to contract."""
-
-    def __init__(self, message, spectral_estimate=None):
-        super().__init__(message)
-        self.spectral_estimate = spectral_estimate
-
-
 class MaxIterationsExceeded(GradcapError):
-    """Outer nonlinear iteration hit its cap; best iterate attached."""
+    """Nonlinear iteration stopped unconverged; best iterate attached.
 
-    def __init__(self, message, report=None):
+    `reason` says why: "max_iter" (iteration cap), "line_search_failed"
+    (no step passed the line search at any Levenberg shift) or
+    "slow_newton" (merit crept down for too many steps).
+    """
+
+    def __init__(self, message, report=None, reason="max_iter"):
         super().__init__(message)
         self.report = report
+        self.reason = reason
 
 
 class BoundViolation(GradcapError):

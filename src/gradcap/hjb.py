@@ -81,6 +81,25 @@ def hjb_residual(problem, fld, activity_tol=None):
     }
 
 
+def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
+    """Solve at eps from `warm`, retrying a failing continuation step
+    through intermediate eps; returns the report and the Newton iterations
+    of every solve that succeeded on the way."""
+    nidd_opts = SolverOptions(**{**opts.nidd.__dict__, "initial": warm})
+    try:
+        rep = solve_nidd(problem, eps, nidd_opts)
+        return rep, rep.iterations
+    except MaxIterationsExceeded:
+        if depth >= opts.max_substeps or eps_prev is None:
+            raise
+    mid = float(np.sqrt(eps_prev * eps))
+    rep_mid, n_mid = _solve_with_substeps(problem, mid, eps_prev, warm, opts,
+                                          depth + 1)
+    rep, n_end = _solve_with_substeps(problem, eps, mid, rep_mid.solution,
+                                      opts, depth + 1)
+    return rep, n_mid + n_end
+
+
 def solve_hjb(problem, eps_schedule=None, opts=None):
     """Warm-started continuation over a strictly decreasing eps schedule."""
     opts = opts or HjbOptions()
@@ -98,24 +117,11 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
     prev_res = None
     total_iter = 0
 
-    def solve_with_substeps(eps, eps_prev, warm, depth=0):
-        """Retry a failing continuation step through intermediate eps."""
-        nonlocal total_iter
-        nidd_opts = SolverOptions(**{**opts.nidd.__dict__, "initial": warm})
-        try:
-            rep = solve_nidd(problem, float(eps), nidd_opts)
-        except MaxIterationsExceeded:
-            if depth >= opts.max_substeps or eps_prev is None:
-                raise
-            mid = float(np.sqrt(eps_prev * eps))
-            rep_mid = solve_with_substeps(mid, eps_prev, warm, depth + 1)
-            rep = solve_with_substeps(eps, mid, rep_mid.solution, depth + 1)
-        total_iter += rep.iterations
-        return rep
-
     for k, eps in enumerate(arr):
         eps_prev = float(arr[k - 1]) if k else None
-        rep = solve_with_substeps(float(eps), eps_prev, prev)
+        rep, n_iter = _solve_with_substeps(problem, float(eps), eps_prev,
+                                           prev, opts)
+        total_iter += n_iter
         sup_update = 0.0
         mono = 0.0
         if prev is not None:

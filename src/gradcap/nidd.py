@@ -1,12 +1,14 @@
 """Penalized nonlinear Dirichlet solver.
 
-The nonlinear problem couples the discrete operator with the penalty of the
-gradient-constraint defect.  The solver iterates the linearization map
-w -> u solving  gamma u = h - psi_eps(|D w|^2 - g^2)  with damping; when the
-penalty stiffens (psi' ~ 1/eps) beyond what a damped fixed point can
-contract, it switches to a damped Newton iteration on the same smooth
-residual.  Either way the runtime diagnostics check the a priori sandwich
-0 <= u <= C1 and record the gradient sup.
+The penalized problem  gamma u + psi_eps(|D u|^2 - g^2) = h  is solved by a
+Levenberg-damped Newton iteration with a non-monotone line search.  Every
+linear system the solver meets, the linear Dirichlet problem and each Newton
+step alike, splits as (P - J) x = b: J is the jump gather and P is sparse
+with a cheap LU (the local M-matrix plus the jump mass, plus the penalty's
+gradient terms and the Levenberg shift in a Newton step).  GMRES on the
+left-preconditioned system (I - P^-1 J) x = P^-1 b solves it; without jumps
+the first preconditioner solve is already exact.  The runtime diagnostics
+check the a priori sandwich 0 <= u <= C1 and record the gradient sup.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (BoundViolation, GridMismatch, InnerDivergence,
-                     MaxIterationsExceeded, NotApplicable, SingularSystem)
+from .errors import (BoundViolation, GridMismatch, MaxIterationsExceeded,
+                     NotApplicable, SingularSystem)
 from .geometry import SolutionField
 from .operators import interior_gradient
 from .penalty import PenaltyFn
@@ -29,11 +31,6 @@ class SolverOptions:
     tol_update_factor: float = 1e-8
     tol_res_factor: float = 1e-6
     max_iter: int = 500
-    damping: float = 0.7
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 20000
-    newton_fallback: bool = True
-    fold_nonlocal: bool = False
     sandwich_tol: float = 1e-8
     initial: object = None  # warm start SolutionField
 
@@ -61,90 +58,55 @@ def _as_interior(matrix, rhs):
     return rhs.copy()
 
 
-def solve_linear_dirichlet(matrix, rhs, opts=None):
+def _solve_split(lu, J, b):
+    """Solve (P - J) x = b, where `lu` factorizes P and J is sparse.
+
+    GMRES runs on the left-preconditioned system (I - P^-1 J) x = P^-1 b
+    from x = P^-1 b, so its stopping test reads the preconditioned residual;
+    the plain residual of a stiff P sits at round-off far above 1e-13 |b|.
+    """
+    x0 = lu.solve(b)
+    if J.nnz == 0:
+        return x0
+    op = spla.LinearOperator(J.shape, matvec=lambda v: v - lu.solve(J @ v),
+                             dtype=float)
+    x, _ = spla.gmres(op, x0, x0=x0, rtol=1e-13, atol=0.0, restart=60,
+                      maxiter=20)
+    return x
+
+
+def _check_linear_residual(matrix, rhs_vec, u):
+    """Gate |gamma u - rhs| at 1e-10 |rhs| plus the round-off of gamma u.
+
+    The round-off term eps_mach |gamma| |u| grows like 1/h^2, so a gate on
+    |rhs| alone falls below what exact arithmetic could deliver on fine
+    grids.
+    """
+    res = float(np.max(np.abs(matrix.apply_gamma_vec(u) - rhs_vec)))
+    gate = 1e-10 * float(np.max(np.abs(rhs_vec))) + np.finfo(float).eps \
+        * spla.norm(matrix.gamma_matrix(), np.inf) * float(np.max(np.abs(u)))
+    if not res <= gate:
+        raise SingularSystem(
+            f"linear residual {res:.3e} above {gate:.3e} "
+            "= 1e-10 |rhs| + eps_mach |gamma| |u|")
+
+
+def solve_linear_dirichlet(matrix, rhs):
     """Solve gamma u = rhs at interior nodes with u = 0 elsewhere.
 
-    The nonlocal part is lagged by default: factorize the local M-matrix
-    plus the jump mass once, then fix-point on the gather term.  The lag
-    contracts at rate max_i D_i / (c_i + D_i) < 1; if contraction is not
-    observed the iteration aborts with a spectral estimate.  Setting
-    fold_nonlocal solves the assembled system directly instead.
+    P is the cached factorization of the local M-matrix plus the jump mass,
+    and the jump gather is applied as a matrix-vector product.
     """
-    opts = opts or SolverOptions()
     rhs_vec = _as_interior(matrix, rhs)
-    scale = float(np.max(np.abs(rhs_vec))) if rhs_vec.size else 0.0
-    if scale == 0.0:
+    if not rhs_vec.size or float(np.max(np.abs(rhs_vec))) == 0.0:
         return SolutionField.zeros(matrix.grid)
-
-    has_jumps = matrix.jump_gather.nnz > 0
-    if opts.fold_nonlocal or not has_jumps:
-        try:
-            u = matrix.gamma_solver().solve(rhs_vec)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-    elif matrix.lag_contraction_bound() <= 0.7:
-        try:
-            lu = matrix.local_solver()
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-        J = matrix.jump_gather
-        u = lu.solve(rhs_vec)
-        prev_update = np.inf
-        stall = 0
-        for _ in range(opts.inner_max_iter):
-            u_new = lu.solve(rhs_vec + J @ u)
-            update = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if update <= opts.inner_tol * scale:
-                break
-            if update >= prev_update:
-                stall += 1
-                if stall >= 5:
-                    raise InnerDivergence(
-                        "nonlocal lag failed to contract",
-                        spectral_estimate=_lag_spectral_estimate(lu, J))
-            else:
-                stall = 0
-            prev_update = update
-        else:
-            raise InnerDivergence(
-                "nonlocal lag exhausted its iteration budget",
-                spectral_estimate=_lag_spectral_estimate(lu, J))
-    else:
-        # heavy jump mass: the lag would contract too slowly, so solve the
-        # assembled system by Krylov iteration preconditioned with the
-        # cheap banded factorization of (local + jump mass)
+    try:
         lu = matrix.local_solver()
-        gamma = matrix.gamma_matrix()
-        precond = spla.LinearOperator(gamma.shape, matvec=lu.solve)
-        u, info = spla.gmres(gamma, rhs_vec, M=precond, rtol=1e-13, atol=0.0,
-                             restart=80, maxiter=400)
-        if info != 0:
-            u = matrix.gamma_solver().solve(rhs_vec)
-
-    res = np.max(np.abs(matrix.apply_gamma_vec(u) - rhs_vec))
-    if res > 1e-10 * scale:
-        u = matrix.gamma_solver().solve(rhs_vec)
-        res = np.max(np.abs(matrix.apply_gamma_vec(u) - rhs_vec))
-        if res > 1e-10 * scale:
-            raise SingularSystem(
-                f"linear residual {res:.3e} above 1e-10 * |rhs|")
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+    u = _solve_split(lu, matrix.jump_gather, rhs_vec)
+    _check_linear_residual(matrix, rhs_vec, u)
     return SolutionField.from_interior_vector(matrix.grid, u)
-
-
-def _lag_spectral_estimate(lu, J, iters=20, seed=0):
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(J.shape[0])
-    y /= np.linalg.norm(y)
-    rho = np.nan
-    for _ in range(iters):
-        y = lu.solve(J @ y)
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        rho = nrm
-        y /= nrm
-    return float(rho)
 
 
 def _gradient_sq(problem, u_int):
@@ -152,19 +114,46 @@ def _gradient_sq(problem, u_int):
     return np.sum(grads * grads, axis=1), grads
 
 
-def _residual_vec(problem, gamma, pf, u_int, h_int, g_int, clamp):
+def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     grad_sq, _ = _gradient_sq(problem, u_int)
-    arg = np.maximum(grad_sq - g_int**2, clamp)
-    return gamma @ u_int + pf.psi(arg) - h_int
+    return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int
+
+
+def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
+    """Solve (jacobian + lam shift) delta = -res_vec at the iterate w.
+
+    The Jacobian gamma + sum_k diag(2 psi' D_k w) G_k splits as P - J with
+    P = local + jump mass + the gradient terms, so only the sparse P is
+    factorized.  The Levenberg shift adds lam (|jacobian diagonal| + 1).
+    Raises RuntimeError when P is exactly singular.
+    """
+    mat = problem.matrix()
+    J = mat.jump_gather
+    grad_sq, grads = _gradient_sq(problem, w)
+    slope = 2.0 * pf.psi_prime(grad_sq - g_int**2)
+    P = mat.local_matrix()
+    for k, G in enumerate(problem.grad_ops()):
+        P = P + sp.diags(slope * grads[:, k]) @ G
+    if lam > 0.0:
+        P = P + lam * sp.diags(np.abs(P.diagonal() - J.diagonal()) + 1.0)
+    return _solve_split(spla.splu(P.tocsc()), J, -res_vec)
+
+
+_STOP_MESSAGES = {
+    "max_iter": "no convergence in {n} iterations",
+    "line_search_failed": "line search found no acceptable step at "
+                          "iteration {n}",
+    "slow_newton": "Newton progress stalled at iteration {n}",
+}
 
 
 def solve_nidd(problem, eps, opts=None):
     """Solve the penalized problem at one eps; returns a NiddReport.
 
-    Damped fixed-point iteration on the linearization map, with an
-    automatic switch to damped Newton on the same residual when the fixed
-    point stops contracting (the penalty slope grows like 1/eps, which no
-    fixed damping can absorb for small eps).
+    Levenberg-damped Newton with a non-monotone line search.  The penalty
+    curvature near the free-boundary rim makes a strictly monotone search
+    zigzag, so a step passes if it stays below the recent merit window,
+    and the best iterate seen is what the solver returns.
     """
     opts = opts or SolverOptions()
     if not 0.0 < eps < 1.0:
@@ -175,13 +164,12 @@ def solve_nidd(problem, eps, opts=None):
     gamma = mat.gamma_matrix()
     h_int = problem.h_interior()
     g_int = problem.g_interior()
-    clamp = -(float(np.max(g_int)) ** 2 + 1.0)
 
     h_scale = float(np.max(np.abs(h_int))) if h_int.size else 0.0
     tol_res = opts.tol_res_factor * (1.0 + h_scale)
 
     # C1 from the linear problem gamma v = h
-    v_lin = solve_linear_dirichlet(mat, h_int, opts)
+    v_lin = solve_linear_dirichlet(mat, h_int)
     bound_c1 = float(np.max(v_lin.values)) if h_scale > 0 else 0.0
 
     if opts.initial is not None:
@@ -192,40 +180,16 @@ def solve_nidd(problem, eps, opts=None):
     else:
         u = np.zeros(grid.n_interior)
 
-    def T(w):
-        grad_sq, _ = _gradient_sq(problem, w)
-        arg = np.maximum(grad_sq - g_int**2, clamp)
-        rhs = h_int - pf.psi(arg)
-        return solve_linear_dirichlet(mat, rhs, opts).interior_vector()
-
-    def newton_step(w, res_vec, lam=0.0):
-        grad_sq, grads = _gradient_sq(problem, w)
-        arg = np.maximum(grad_sq - g_int**2, clamp)
-        slope = 2.0 * pf.psi_prime(arg)
-        jac = gamma.copy()
-        for k, G in enumerate(problem.grad_ops()):
-            jac = jac + sp.diags(slope * grads[:, k]) @ G
-        if lam > 0.0:
-            jac = jac + lam * sp.diags(np.abs(jac.diagonal()) + 1.0)
-        try:
-            return spla.splu(jac.tocsc()).solve(-res_vec)
-        except RuntimeError:
-            reg = 1e-8 * (1.0 + np.abs(jac.diagonal()).max())
-            return spla.splu(
-                (jac + reg * sp.eye(jac.shape[0])).tocsc()).solve(-res_vec)
-
-    omega = opts.damping
-    res_vec = _residual_vec(problem, gamma, pf, u, h_int, g_int, clamp)
+    res_vec = _residual_vec(problem, gamma, pf, u, h_int, g_int)
     res = float(np.max(np.abs(res_vec)))
     update = np.inf
-    mode = "picard"
     iterations = 0
-    stall = 0
     slow_newton = 0
     newton_lam = 0.0
     merit_window = []
     best_res = res
     best_u = u.copy()
+    stop = "max_iter"
 
     while iterations < opts.max_iter:
         u_scale = 1.0 + float(np.max(np.abs(u))) if u.size else 1.0
@@ -234,70 +198,48 @@ def solve_nidd(problem, eps, opts=None):
             break
         iterations += 1
 
-        if mode == "picard":
-            tu = T(u)
-            u_try = (1.0 - omega) * u + omega * tu
-            res_try_vec = _residual_vec(problem, gamma, pf, u_try,
-                                        h_int, g_int, clamp)
-            res_try = float(np.max(np.abs(res_try_vec)))
-            if res_try > res:
-                omega *= 0.5
-                stall += 1
-                if opts.newton_fallback and (omega < 0.02 or stall > 12):
-                    mode = "newton"
-                continue
-            update = float(np.max(np.abs(u_try - u)))
-            crawl = res_try > 0.9 * res
-            u, res_vec, res = u_try, res_try_vec, res_try
-            if res < best_res:
-                best_res = res
-                best_u = u.copy()
-            stall = stall + 1 if crawl else 0
-            # hand over to Newton when the fixed point decays too slowly
-            if opts.newton_fallback and res > tol_res \
-                    and (stall >= 5 or update < 1e-14):
-                mode = "newton"
-        else:
-            # Levenberg-damped Newton with a non-monotone line search: the
-            # penalty curvature near the free-boundary rim makes a strictly
-            # monotone search zigzag, so steps may pass if they stay below
-            # the recent merit window while the best iterate is tracked.
-            merit = float(np.linalg.norm(res_vec))
-            merit_window.append(merit)
-            del merit_window[:-6]
-            window_cap = max(merit_window)
-            accepted = False
-            for _ in range(8):
-                delta = newton_step(u, res_vec, newton_lam)
-                for alpha in (1.0, 0.5, 0.25, 0.125):
-                    u_try = u + alpha * delta
-                    res_try_vec = _residual_vec(problem, gamma, pf, u_try,
-                                                h_int, g_int, clamp)
-                    merit_try = float(np.linalg.norm(res_try_vec))
-                    if merit_try < window_cap:
-                        accepted = True
-                        break
-                if accepted:
+        merit = float(np.linalg.norm(res_vec))
+        merit_window.append(merit)
+        del merit_window[:-6]
+        window_cap = max(merit_window)
+        accepted = False
+        for _ in range(8):
+            try:
+                delta = _newton_direction(problem, pf, g_int, u, res_vec,
+                                          newton_lam)
+            except RuntimeError:  # singular split: retry with a larger shift
+                delta = None
+            for alpha in (1.0, 0.5, 0.25, 0.125) if delta is not None else ():
+                u_try = u + alpha * delta
+                res_try_vec = _residual_vec(problem, gamma, pf, u_try,
+                                            h_int, g_int)
+                merit_try = float(np.linalg.norm(res_try_vec))
+                if merit_try < window_cap or merit_try == 0.0:
+                    accepted = True
                     break
-                newton_lam = max(newton_lam * 10.0, 1e-4)
-                if newton_lam > 1e8:
-                    break
-            if not accepted:
+            if accepted:
                 break
-            newton_lam = newton_lam / 5.0 if merit_try < merit \
-                else min(max(newton_lam, 1e-4) * 10.0, 1e8)
-            if newton_lam < 1e-10:
-                newton_lam = 0.0
-            # fail fast on creeping progress so continuation can sub-step
-            slow_newton = slow_newton + 1 if merit_try > 0.99 * merit else 0
-            if slow_newton > 40:
+            newton_lam = max(newton_lam * 10.0, 1e-4)
+            if newton_lam > 1e8:
                 break
-            update = float(np.max(np.abs(u_try - u)))
-            u, res_vec = u_try, res_try_vec
-            res = float(np.max(np.abs(res_vec)))
-            if res < best_res:
-                best_res = res
-                best_u = u.copy()
+        if not accepted:
+            stop = "line_search_failed"
+            break
+        newton_lam = newton_lam / 5.0 if merit_try < merit \
+            else min(max(newton_lam, 1e-4) * 10.0, 1e8)
+        if newton_lam < 1e-10:
+            newton_lam = 0.0
+        # fail fast on creeping progress so continuation can sub-step
+        slow_newton = slow_newton + 1 if merit_try > 0.99 * merit else 0
+        if slow_newton > 40:
+            stop = "slow_newton"
+            break
+        update = float(np.max(np.abs(u_try - u)))
+        u, res_vec = u_try, res_try_vec
+        res = float(np.max(np.abs(res_vec)))
+        if res < best_res:
+            best_res = res
+            best_u = u.copy()
 
     if best_res < res:
         # non-monotone exploration can end off the best iterate seen
@@ -317,9 +259,11 @@ def solve_nidd(problem, eps, opts=None):
     u_scale = 1.0 + abs(report.max_value)
     if not (update <= opts.tol_update_factor * u_scale and res <= tol_res):
         report.converged = False
+        head = _STOP_MESSAGES[stop].format(
+            n=iterations)
         raise MaxIterationsExceeded(
-            f"no convergence in {opts.max_iter} iterations "
-            f"(residual {res:.3e}, update {update:.3e})", report=report)
+            f"{head} (residual {res:.3e}, update {update:.3e})",
+            report=report, reason=stop)
 
     if report.min_value < -opts.sandwich_tol or \
             report.max_value > bound_c1 + opts.sandwich_tol:
@@ -340,7 +284,6 @@ def comparison_check(problem, eps, phi, eta, tol=None, premise_tol=None):
     gamma = problem.matrix().gamma_matrix()
     h_int = problem.h_interior()
     g_int = problem.g_interior()
-    clamp = -(float(np.max(g_int)) ** 2 + 1.0)
     h_scale = float(np.max(np.abs(h_int))) if h_int.size else 0.0
     if premise_tol is None:
         premise_tol = 1e-8 * (1.0 + h_scale)
@@ -349,8 +292,8 @@ def comparison_check(problem, eps, phi, eta, tol=None, premise_tol=None):
 
     phi_v = phi.interior_vector()
     eta_v = eta.interior_vector()
-    r_phi = _residual_vec(problem, gamma, pf, phi_v, h_int, g_int, clamp)
-    r_eta = _residual_vec(problem, gamma, pf, eta_v, h_int, g_int, clamp)
+    r_phi = _residual_vec(problem, gamma, pf, phi_v, h_int, g_int)
+    r_eta = _residual_vec(problem, gamma, pf, eta_v, h_int, g_int)
     bad_super = np.flatnonzero(r_phi > premise_tol)
     if bad_super.size:
         raise NotApplicable(

@@ -281,7 +281,8 @@ class OperatorMatrix:
 
     gamma = local + diag(jump_mass) - jump_gather; the local part alone is
     an M-matrix, and adding the nonnegative jump mass keeps it one.
-    Factorizations are cached since solves repeat across sweep iterations.
+    Factorizations are cached since linear solves repeat across the
+    eps-continuation.
     """
 
     grid: object
@@ -307,12 +308,18 @@ class OperatorMatrix:
         return (self.local_part @ u_int + self.jump_mass * u_int
                 - self.jump_gather @ u_int)
 
+    def local_matrix(self):
+        """Local M-matrix plus jump mass: gamma without the jump gather."""
+        if "local" not in self._cache:
+            self._cache["local"] = (
+                self.local_part + sp.diags(self.jump_mass)).tocsr()
+        return self._cache["local"]
+
     def local_solver(self):
         """Cached factorization of the local M-matrix plus jump mass."""
         import scipy.sparse.linalg as spla
         if "local_lu" not in self._cache:
-            A = (self.local_part + sp.diags(self.jump_mass)).tocsc()
-            self._cache["local_lu"] = spla.splu(A)
+            self._cache["local_lu"] = spla.splu(self.local_matrix().tocsc())
         return self._cache["local_lu"]
 
     def gamma_solver(self):
@@ -323,7 +330,11 @@ class OperatorMatrix:
         return self._cache["gamma_lu"]
 
     def lag_contraction_bound(self):
-        """Upper estimate of the lagged fixed-point contraction factor."""
+        """Upper bound on |local_matrix()^-1 jump_gather|_inf.
+
+        It is the contraction factor of a lagged jump term, and it bounds
+        the spectrum the preconditioned Krylov solve in nidd has to resolve.
+        """
         row_gather = np.asarray(self.jump_gather.sum(axis=1)).ravel()
         denom = self.local_part.diagonal() + self.jump_mass
         off = self.local_part - sp.diags(self.local_part.diagonal())

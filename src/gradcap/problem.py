@@ -2,7 +2,7 @@
 
 Bundles the grid, coefficient fields, jump density, and quadrature rule, and
 caches the assembled operator and gradient stencils, which are reused across
-Picard sweeps and the whole eps-continuation.
+Newton steps and the whole eps-continuation.
 """
 
 from __future__ import annotations

@@ -39,6 +39,11 @@ def test_unknown_key_rejected():
     with pytest.raises(ValidationError) as err:
         build_spec(base_config(bogus=1))
     assert "bogus" in str(err.value)
+    # the solver has one nonlinear path, so these former knobs are unknown
+    for key, value in (("damping", 0.7), ("fold_nonlocal", True)):
+        with pytest.raises(ValidationError) as err:
+            build_spec(base_config(solver={key: value}))
+        assert key in str(err.value)
 
 
 def test_c_zero_rejected_with_positivity_message():
@@ -187,17 +192,6 @@ def test_csv_float_precision_lossless(tmp_path):
     rep = solve_nidd(spec.problem, 0.1,
                      SolverOptions(**{**spec.solver_options.__dict__}))
     assert np.array_equal(fld.values, rep.solution.values)
-
-
-def test_worker_cap_env_validation(tmp_path, monkeypatch):
-    import os
-    cfg = small_config(tmp_path)
-    env = dict(os.environ, GRADCAP_THREADS="zero")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gradcap", "solve-nidd", "--config", str(cfg),
-         "--eps", "0.1", "--out", str(tmp_path / "u.csv")],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
 
 
 def test_dump_matrix_flag(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,43 @@ def test_continuation_matches_cold_solve():
     rep = solve_hjb(prob, (0.5, 0.25, 0.1, 0.05))
     cold = solve_nidd(prob, 0.05)
     assert np.max(np.abs(rep.solution.values - cold.solution.values)) <= 1e-6
+
+
+def test_failing_step_is_substepped_and_counted_once(monkeypatch):
+    import gradcap.hjb as hjb_mod
+    from gradcap.nidd import SolverOptions, solve_nidd
+    solved = []
+
+    def recording(problem, eps, opts):
+        rep = solve_nidd(problem, eps, opts)
+        solved.append((eps, rep.iterations))
+        return rep
+
+    monkeypatch.setattr(hjb_mod, "solve_nidd", recording)
+    prob = make_problem_1d(h_grid=1 / 64, h=10.0, g=0.5)
+    rep = solve_hjb(prob, (0.5, 0.01), HjbOptions(nidd=SolverOptions(
+        max_iter=6)))
+    # the jump 0.5 -> 0.01 needs more than 6 Newton steps cold, so it
+    # passes through the geometric midpoint
+    assert [e for e, _ in solved] == [0.5, pytest.approx(np.sqrt(0.005)),
+                                      0.01]
+    assert rep.iterations_total == sum(n for _, n in solved)
+    cold = solve_nidd(prob, 0.01)
+    assert np.max(np.abs(rep.solution.values - cold.solution.values)) <= 1e-6
+
+
+def test_solve_hjb_leaves_no_reference_cycle():
+    # the problem holds the assembled matrices and their factorizations;
+    # it must be freed by reference counting alone
+    prob = make_problem_1d(h_grid=1 / 32, h=10.0, g=0.5)
+    ref = weakref.ref(prob)
+    gc.disable()
+    try:
+        solve_hjb(prob, (0.5, 0.25))
+        del prob
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_residual_grid_mismatch_rejected():
