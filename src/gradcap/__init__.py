@@ -5,8 +5,7 @@ from .config import ProblemSpec, build_spec, emit, load_config
 from .control import (ConstantRate, CostEstimate, NullControl,
                       PenalizedFeedback, SdeParams, SingularControlSpec,
                       estimate_penalized_value, estimate_singular_value,
-                      penalized_policy, sde_from_problem, simulate_path,
-                      verify_value_equality)
+                      sde_from_problem, simulate_path, verify_value_equality)
 from .geometry import (Ball, Box, Grid, SolutionField, build_grid,
                        classify_point, field_value_extended)
 from .hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, HjbReport, hjb_residual,
@@ -20,7 +19,7 @@ from .operators import (Coefficients, OperatorMatrix, apply_Gamma, apply_I,
                         apply_L, assemble_linear_system,
                         bracket_identity_residual, build_gradient_ops,
                         interior_gradient)
-from .penalty import PenaltyFn, legendre, psi, psi_double_prime, psi_prime
+from .penalty import PenaltyFn
 from .problem import Problem
 
 __version__ = "0.1.0"

@@ -50,10 +50,17 @@ def write_field_csv(path, spec, fld, residual_per_node=None):
 
 
 def read_field_csv(path, spec):
+    """Read a field CSV written for `spec`; the rows must name every
+    interior node exactly once, and a config hash, if stamped, must match."""
     grid = spec.grid
     with open(path, "r", encoding="utf-8") as fh:
         line = fh.readline()
         while line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            if key == "config_hash" and value != spec.config_hash:
+                raise ValidationError(
+                    "field", f"{path}: config_hash {value} does not match "
+                    f"the config ({spec.config_hash})")
             line = fh.readline()
         header = line.strip().split(",")
         try:
@@ -61,18 +68,32 @@ def read_field_csv(path, spec):
             i_u = header.index("u")
         except ValueError as exc:
             raise ValidationError("field", f"{path}: missing column") from exc
-        full = np.zeros(int(np.prod(grid.shape)))
-        seen = 0
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < len(header):
-                continue
-            full[int(parts[i_node])] = float(parts[i_u])
-            seen += 1
-    if seen != grid.n_interior:
+        rows = [parts for parts in (ln.strip().split(",") for ln in fh)
+                if len(parts) >= len(header)]
+    try:
+        nodes = np.array([int(parts[i_node]) for parts in rows],
+                         dtype=np.int64)
+        values = [float(parts[i_u]) for parts in rows]
+    except ValueError as exc:
+        raise ValidationError("field", f"{path}: {exc}") from exc
+    size = grid.interior_row.size
+    bad = (nodes < 0) | (nodes >= size)
+    bad[~bad] = grid.interior_row[nodes[~bad]] < 0
+    if np.any(bad):
         raise ValidationError(
-            "field", f"{path}: {seen} rows but grid has "
+            "field", f"{path}: node_index {nodes[bad][0]} is not an "
+            "interior node")
+    uniq, counts = np.unique(nodes, return_counts=True)
+    if np.any(counts > 1):
+        raise ValidationError(
+            "field", f"{path}: node_index {uniq[counts > 1][0]} appears "
+            f"{counts[counts > 1][0]} times")
+    if nodes.size != grid.n_interior:
+        raise ValidationError(
+            "field", f"{path}: {nodes.size} rows but grid has "
             f"{grid.n_interior} interior nodes (wrong config?)")
+    full = np.zeros(size)
+    full[nodes] = values
     return SolutionField(grid, full.reshape(grid.shape))
 
 
@@ -202,20 +223,26 @@ def cmd_simulate(args):
             raise ValidationError(
                 "policy", "penalized policy needs --field and --eps")
         fld = read_field_csv(args.field, spec)
-        policy = ctl.penalized_policy(fld, args.eps, spec.coeffs.g)
-        est = ctl.estimate_penalized_value(params, policy, x0, args.paths,
-                                           args.seed)
+        policy = ctl.PenalizedFeedback(fld, args.eps, spec.coeffs.g)
     elif args.policy == "null":
-        est = ctl.estimate_penalized_value(params, ctl.NullControl(), x0,
-                                           args.paths, args.seed)
+        policy = ctl.NullControl()
     elif args.policy == "constant":
+        if args.eps is None:
+            raise ValidationError("eps", "constant policy needs --eps")
         direction = [float(v) for v in args.direction.split(",")] \
             if args.direction else [1.0] * spec.grid.dim
-        policy = ctl.ConstantRate(n=tuple(direction), rate=args.rate)
-        est = ctl.estimate_penalized_value(params, policy, x0, args.paths,
-                                           args.seed)
+        if len(direction) != spec.grid.dim:
+            raise ValidationError(
+                "direction", f"expected {spec.grid.dim} coordinates")
+        try:
+            policy = ctl.ConstantRate(n=tuple(direction), rate=args.rate,
+                                      eps=args.eps)
+        except ValueError as exc:
+            raise ValidationError("policy", str(exc)) from exc
     else:
         raise ValidationError("policy", f"unknown policy {args.policy!r}")
+    est = ctl.estimate_penalized_value(params, policy, x0, args.paths,
+                                       args.seed)
     payload = {
         "config_hash": spec.config_hash,
         "policy": args.policy,

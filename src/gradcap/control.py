@@ -7,10 +7,13 @@ drift_eff folds the mean of the small jumps into the drift (legitimate under
 bounded variation).  Paths stop at the first state outside the open domain
 or at the horizon cap; the discount makes the cap bias negligible.
 
-Cost conventions: absolutely continuous policies pay the conjugate penalty
-of their push rate on top of the running cost; singular test controls pay
-the constraint-weight along the push segment (Gauss-Legendre along the
-straight displacement) plus the same running cost.
+Every control answers one question per step, `act(X, t, g_cost) ->
+(rate, direction, effort)`, and lists its impulses in `pushes`; the step
+charges the running cost h plus `effort`.  Cost conventions: absolutely
+continuous policies price their push rate by the conjugate penalty;
+singular test controls pay the constraint weight g times their rate, and
+g along each impulse segment (Gauss-Legendre along the straight
+displacement).
 """
 
 from __future__ import annotations
@@ -116,10 +119,9 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
     c_vals = problem.coeffs.c(pts)
     if np.max(np.abs(c_vals - q)) > 1e-10 * (1.0 + abs(q)):
         raise ValueError("simulation requires c constant and equal to q")
-    probe = pts[:: max(1, len(pts) // 16)]
-    zs = [np.full(grid.dim, 0.3), np.full(grid.dim, -0.7)]
-    for z in zs:
-        if np.max(np.abs(problem.s.eval(probe, z) - 1.0)) > 1e-12:
+    # the operator reads s at every interior point and quadrature node
+    for z in problem.quad.nodes:
+        if np.max(np.abs(problem.s.eval(pts, z) - 1.0)) > 1e-12:
             raise ValueError("simulation requires jump density s identically 1")
     if t_max is None:
         t_max = 14.0 / q
@@ -144,37 +146,46 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
 class NullControl:
     """No pushes at all."""
 
-    def rate_and_direction(self, X):
-        n = np.zeros_like(X)
-        if n.shape[1] > 0:
-            n[:, 0] = 1.0
-        return np.zeros(X.shape[0]), n
+    pushes = ()
+
+    def act(self, X, t, g_cost):
+        zero = np.zeros(X.shape[0])
+        return zero, np.zeros_like(X), zero
 
 
 @dataclass
 class ConstantRate:
     """Fixed direction and constant absolutely continuous push rate.
 
-    eps identifies the penalized class the control belongs to; it sets the
-    conjugate effort price charged by estimate_penalized_value.
+    eps identifies the penalized class the control belongs to; the push
+    pays the conjugate penalty of that class on top of the running cost.
     """
 
     n: tuple
     rate: float
-    eps: float = None
+    eps: float
+    pushes = ()
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.n, dtype=float))
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "n", tuple(v / nrm))
+        self.n = tuple(v / nrm)
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
+        self._pf = PenaltyFn(self.eps)
 
-    def rate_and_direction(self, X):
-        n = np.broadcast_to(np.array(self.n), X.shape).copy()
-        return np.full(X.shape[0], float(self.rate)), n
+    def act(self, X, t, g_cost):
+        rate = np.full(X.shape[0], float(self.rate))
+        n = np.broadcast_to(np.array(self.n), X.shape)
+        if self.rate > 0:
+            effort = self._pf.legendre_batch(
+                np.asarray(g_cost(X), dtype=float), rate, fast=True)
+        else:
+            # zero effort costs exactly zero
+            effort = np.zeros(X.shape[0])
+        return rate, n, effort
 
 
 class PenalizedFeedback:
@@ -182,54 +193,40 @@ class PenalizedFeedback:
 
     Pushes along the interpolated gradient with rate
     2 psi'(|grad u|^2 - g^2) |grad u|; zero wherever the penalty or the
-    gradient vanishes.  The rate and its conjugate effort price are
-    tabulated at the lattice nodes once and interpolated along paths, so
+    gradient vanishes.  The gradient, the rate and its conjugate effort
+    price are tabulated at the lattice nodes once, as the columns of one
+    node table, and each step interpolates all of them from one stencil, so
     the running cost stays consistent with the simulated push to the same
     interpolation order as the policy itself.
     """
 
+    pushes = ()
+
     def __init__(self, fld, eps, g_fn):
-        self.field = fld
-        self.eps = float(eps)
-        self.g_fn = g_fn
-        self.pf = PenaltyFn(eps)
         grid = fld.grid
         self.grid = grid
-        self._grad_tables = _lattice_gradient(grid, fld.values)
-        pts = grid.points()
-        grad_nodes = np.column_stack([t.ravel() for t in self._grad_tables])
+        pf = PenaltyFn(eps)
+        grad_nodes = np.column_stack(
+            [t.ravel() for t in _lattice_gradient(grid, fld.values)])
         norm = np.linalg.norm(grad_nodes, axis=1)
-        g_nodes = np.asarray(g_fn(pts), dtype=float)
-        rate_nodes = 2.0 * self.pf.psi_prime(norm**2 - g_nodes**2) * norm
-        price_nodes = self.pf.legendre_batch(g_nodes, rate_nodes)
-        self._rate_table = rate_nodes.reshape(grid.shape)
-        self._price_table = price_nodes.reshape(grid.shape)
+        g_nodes = np.asarray(g_fn(grid.points()), dtype=float)
+        rate_nodes = 2.0 * pf.psi_prime(norm**2 - g_nodes**2) * norm
+        price_nodes = pf.legendre_batch(g_nodes, rate_nodes)
+        # columns [du/dx_1 .. du/dx_d, rate, price], one row per lattice node
+        self.table = np.column_stack([grad_nodes, rate_nodes, price_nodes])
 
-    def gradient_at(self, X):
-        grid = self.grid
-        cols, wts = interp_weights(grid, X)
-        out = np.empty((X.shape[0], grid.dim))
-        for k, table in enumerate(self._grad_tables):
-            out[:, k] = np.sum(table.ravel()[cols] * wts, axis=1)
-        return out
-
-    def rate_and_direction(self, X):
-        g = self.gradient_at(X)
-        norm = np.linalg.norm(g, axis=1)
+    def act(self, X, t, g_cost):
         cols, wts = interp_weights(self.grid, X)
-        rate = np.maximum(
-            np.sum(self._rate_table.ravel()[cols] * wts, axis=1), 0.0)
-        n = np.zeros_like(g)
+        vals = np.sum(self.table[cols] * wts[:, :, None], axis=1)
+        d = self.grid.dim
+        grad = vals[:, :d]
+        norm = np.linalg.norm(grad, axis=1)
+        n = np.zeros_like(grad)
         n[:, 0] = 1.0
         nz = norm > 0
-        n[nz] = g[nz] / norm[nz, None]
-        return rate, n
-
-    def effort_price(self, X):
-        """Interpolated conjugate-penalty running cost of the push."""
-        cols, wts = interp_weights(self.grid, X)
-        return np.maximum(
-            np.sum(self._price_table.ravel()[cols] * wts, axis=1), 0.0)
+        n[nz] = grad[nz] / norm[nz, None]
+        return (np.maximum(vals[:, d], 0.0), n,
+                np.maximum(vals[:, d + 1], 0.0))
 
 
 def _lattice_gradient(grid, values):
@@ -257,11 +254,6 @@ def _lattice_gradient(grid, values):
         gk[ax(-1)] = (v[ax(-1)] - v[ax(-2)]) / h
         tables.append(gk)
     return tables
-
-
-def penalized_policy(u_eps, eps, g_field):
-    """Feedback policy induced by a converged penalized solution."""
-    return PenalizedFeedback(u_eps, eps, g_field)
 
 
 @dataclass
@@ -313,6 +305,11 @@ class SingularControlSpec:
     def rate_at(self, t):
         return float(self.rate(t)) if callable(self.rate) else float(self.rate)
 
+    def act(self, X, t, g_cost):
+        rate = np.full(X.shape[0], self.rate_at(t))
+        n = np.broadcast_to(np.asarray(self.n, dtype=float), X.shape)
+        return rate, n, np.asarray(g_cost(X), dtype=float) * rate
+
 
 def _path_jumps(params, seed_rng):
     if params.levy is None:
@@ -321,13 +318,13 @@ def _path_jumps(params, seed_rng):
                         seed_rng)
 
 
-def _simulate_batch(params, seeds, x0, policy=None, singular=None,
-                    record=False):
+def _simulate_batch(params, seeds, x0, control, record=False):
     """Advance one batch of paths to exit or horizon; returns costs.
 
-    policy: absolutely continuous feedback (penalized running cost).
-    singular: SingularControlSpec (constraint-weight running cost + pushes).
-    Exactly one of the two must be given.
+    Every step asks the control for `act(X, t, g_cost)`, which returns the
+    push rate, its direction and the effort cost rate paid on top of the
+    running cost h; `control.pushes` lists the control's (time, direction,
+    size) impulses, paid along the push segment.
 
     Each path owns one generator seeded with its entry of `seeds`; it
     yields that path's jumps first and diffusion increments afterwards, so
@@ -338,22 +335,14 @@ def _simulate_batch(params, seeds, x0, policy=None, singular=None,
     dt = params.dt
     n_steps = int(np.ceil(params.t_max / dt))
     sqrt_dt = np.sqrt(dt)
-    pfq = None
-    if policy is not None and not isinstance(policy, PenalizedFeedback):
-        eps_pol = getattr(policy, "eps", None)
-        if eps_pol is not None:
-            pfq = PenaltyFn(eps_pol)
-        elif not isinstance(policy, NullControl):
-            raise ValueError(
-                "absolutely continuous test controls need an eps to price "
-                "their effort")
 
-    push_times = sorted(p[0] for p in singular.pushes) if singular else []
+    push_list = sorted(control.pushes, key=lambda p: p[0])
+    push_times = [p[0] for p in push_list]
     rngs = [np.random.default_rng(int(s)) for s in seeds]
     jump_step, jump_path, jump_size = [], [], []
     for i, rng in enumerate(rngs):
         for t_j, z in _path_jumps(params, rng):
-            if push_times and t_j in push_times:
+            if t_j in push_times:
                 raise PushOutsideAdmissible(
                     f"push requested at jump time t={t_j}")
             # a jump in (k dt, (k+1) dt] lands at the end of step k
@@ -371,8 +360,6 @@ def _simulate_batch(params, seeds, x0, policy=None, singular=None,
         jump_path = np.zeros(0, dtype=int)
         jump_size = np.zeros((0, d))
     jump_ptr = 0
-
-    push_list = sorted(singular.pushes, key=lambda p: p[0]) if singular else []
 
     x0 = np.asarray(x0, dtype=float)
     if not params.domain.contains(x0):
@@ -402,32 +389,11 @@ def _simulate_batch(params, seeds, x0, policy=None, singular=None,
                 normals[i, :width] = rngs[i].standard_normal((width, d))
         xa = x[idx]
 
-        # running cost at the left endpoint
-        disc = np.exp(-params.q * t)
-        h_vals = np.asarray(params.h_cost(xa), dtype=float)
-        if policy is not None:
-            rate, n_dir = policy.rate_and_direction(xa)
-            if rate.size:
-                max_rate = max(max_rate, float(np.max(rate)))
-            run = h_vals
-            if isinstance(policy, PenalizedFeedback):
-                run = h_vals + policy.effort_price(xa)
-            elif pfq is not None:
-                # zero effort costs exactly zero; only price active pushes
-                pos = rate > 0.0
-                if np.any(pos):
-                    g_vals = np.asarray(params.g_cost(xa[pos]), dtype=float)
-                    run = h_vals.copy()
-                    run[pos] += pfq.legendre_batch(g_vals, rate[pos],
-                                                   fast=True)
-        else:
-            r = singular.rate_at(t)
-            n_dir = np.broadcast_to(
-                np.asarray(singular.n, dtype=float), xa.shape).copy()
-            rate = np.full(xa.shape[0], r)
-            max_rate = max(max_rate, r)
-            run = h_vals + np.asarray(params.g_cost(xa), dtype=float) * rate
-        cost[idx] += disc * run * dt
+        # running cost plus control effort at the left endpoint
+        rate, n_dir, effort = control.act(xa, t, params.g_cost)
+        max_rate = max(max_rate, float(np.max(rate)))
+        run = np.asarray(params.h_cost(xa), dtype=float) + effort
+        cost[idx] += np.exp(-params.q * t) * run * dt
 
         # Euler step: drift (including the control push) plus diffusion
         drift = params.effective_drift(xa) + n_dir * rate[:, None]
@@ -444,21 +410,20 @@ def _simulate_batch(params, seeds, x0, policy=None, singular=None,
                 x[p] = x[p] + jump_size[jump_ptr]
             jump_ptr += 1
 
-        # singular pushes scheduled in this step (never at a jump time)
-        if singular:
-            for t_push, n_push, dz in push_list:
-                if t < t_push <= t_next:
-                    n_push = np.asarray(n_push, dtype=float)
-                    n_push = n_push / np.linalg.norm(n_push)
-                    xa2 = x[idx]
-                    seg = xa2[:, None, :] \
-                        - _GL01_NODES[None, :, None] * (dz * n_push)[None, None, :]
-                    g_seg = np.asarray(
-                        params.g_cost(seg.reshape(-1, d)), dtype=float
-                    ).reshape(xa2.shape[0], -1)
-                    line = g_seg @ _GL01_WEIGHTS
-                    cost[idx] += np.exp(-params.q * t_push) * dz * line
-                    x[idx] = xa2 - dz * n_push[None, :]
+        # impulses scheduled in this step (never at a jump time)
+        for t_push, n_push, dz in push_list:
+            if t < t_push <= t_next:
+                n_push = np.asarray(n_push, dtype=float)
+                n_push = n_push / np.linalg.norm(n_push)
+                xa2 = x[idx]
+                seg = xa2[:, None, :] \
+                    - _GL01_NODES[None, :, None] * (dz * n_push)[None, None, :]
+                g_seg = np.asarray(
+                    params.g_cost(seg.reshape(-1, d)), dtype=float
+                ).reshape(xa2.shape[0], -1)
+                line = g_seg @ _GL01_WEIGHTS
+                cost[idx] += np.exp(-params.q * t_push) * dz * line
+                x[idx] = xa2 - dz * n_push[None, :]
 
         inside = params.domain.contains_batch(x[idx])
         gone = idx[~inside]
@@ -486,10 +451,9 @@ def _simulate_batch(params, seeds, x0, policy=None, singular=None,
     return result
 
 
-def simulate_path(params, policy, x0, seed):
-    """Single trajectory under an absolutely continuous policy."""
-    out = _simulate_batch(params, [seed], x0, policy=policy, record=True)
-    return out["path"]
+def simulate_path(params, control, x0, seed):
+    """Single trajectory under any control."""
+    return _simulate_batch(params, [seed], x0, control, record=True)["path"]
 
 
 def _bias_bound(params):
@@ -499,13 +463,12 @@ def _bias_bound(params):
         params.levy, params.jump_truncation, params.t_max)
 
 
-def _estimate(params, x0, n_paths, base_seed, policy=None, singular=None):
+def _estimate(params, x0, n_paths, base_seed, control):
     costs = np.empty(n_paths)
     max_rate = 0.0
     for start in range(0, n_paths, _BATCH):
         idx = np.arange(start, min(start + _BATCH, n_paths))
-        out = _simulate_batch(params, base_seed + idx, x0,
-                              policy=policy, singular=singular)
+        out = _simulate_batch(params, base_seed + idx, x0, control)
         costs[idx] = out["cost"]
         max_rate = max(max_rate, out["max_rate"])
     mean = float(np.mean(costs))
@@ -519,14 +482,13 @@ def _estimate(params, x0, n_paths, base_seed, policy=None, singular=None):
 
 def estimate_penalized_value(params, policy, x0, n_paths, base_seed):
     """Discounted running cost + conjugate-penalty effort cost, averaged."""
-    return _estimate(params, x0, n_paths, base_seed, policy=policy)
+    return _estimate(params, x0, n_paths, base_seed, policy)
 
 
 def estimate_singular_value(params, control_path_spec, x0, n_paths,
                             base_seed):
     """Discounted running cost + constraint-weight control cost, averaged."""
-    return _estimate(params, x0, n_paths, base_seed,
-                     singular=control_path_spec)
+    return _estimate(params, x0, n_paths, base_seed, control_path_spec)
 
 
 @dataclass
@@ -539,7 +501,7 @@ def _drift_sup(params, policy, grid_pts):
     drift = params.effective_drift(grid_pts)
     base = float(np.max(np.linalg.norm(drift, axis=1)))
     if policy is not None:
-        rate, _ = policy.rate_and_direction(grid_pts)
+        rate, _, _ = policy.act(grid_pts, 0.0, params.g_cost)
         base += float(np.max(rate))
     return base
 
@@ -563,7 +525,7 @@ def verify_value_equality(problem, fld, mode, x0_list, n_paths, base_seed,
     if mode == "penalized":
         if eps is None:
             raise ValueError("penalized mode requires eps")
-        policy = penalized_policy(fld, eps, problem.coeffs.g)
+        policy = PenalizedFeedback(fld, eps, problem.coeffs.g)
         drift_sup = _drift_sup(params, policy, pts)
         for x0 in x0_list:
             est = estimate_penalized_value(params, policy, x0, n_paths,

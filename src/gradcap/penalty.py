@@ -154,18 +154,3 @@ class PenaltyFn:
         # m = 0 is always feasible and gives 0; zero effort costs exactly 0
         return np.where(eta == 0.0, 0.0, np.maximum(best, 0.0))
 
-
-def psi(pf, r):
-    return pf.psi(r)
-
-
-def psi_prime(pf, r):
-    return pf.psi_prime(r)
-
-
-def psi_double_prime(pf, r):
-    return pf.psi_double_prime(r)
-
-
-def legendre(pf, g_at_x, eta_norm):
-    return pf.legendre(g_at_x, eta_norm)

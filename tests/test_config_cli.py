@@ -221,3 +221,65 @@ def test_cli_verify_singular_mode(tmp_path):
     payload = json.loads(ver.read_text())
     assert payload["all_pass"]
     assert len(payload["entries"]) == 3  # null + two directed rate controls
+
+
+def short_control_config(tmp_path):
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg["sde"]["t_max"] = 0.5
+    path = tmp_path / "ctl_short.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_cli_simulate_constant_policy(tmp_path):
+    cfg = short_control_config(tmp_path)
+    out = tmp_path / "cost.json"
+    base = ("simulate", "--config", str(cfg), "--policy", "constant",
+            "--x0", "0.0", "--paths", "20", "--rate", "0.3")
+    proc = run_cli(*base, "--eps", "0.1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["max_rate_observed"] == 0.3
+    missing_eps = run_cli(*base, "--out", str(out))
+    assert missing_eps.returncode == 2
+    assert "eps" in missing_eps.stderr
+    zero_dir = run_cli(*base, "--eps", "0.1", "--direction", "0",
+                       "--out", str(out))
+    assert zero_dir.returncode == 2
+    assert "direction must be nonzero" in zero_dir.stderr
+    two_dims = run_cli(*base, "--eps", "0.1", "--direction", "1,0",
+                       "--out", str(out))
+    assert two_dims.returncode == 2
+
+
+def _tamper(lines, spec, case):
+    """Break one thing in the lines of a valid field CSV."""
+    row = 7  # a data row; line 0 is the hash, line 1 the column header
+    if case == "config_hash":
+        lines[0] = "# config_hash=" + "0" * len(spec.config_hash)
+    elif case == "duplicate_row":
+        lines[row] = lines[row + 1]
+    else:
+        # lattice node 0 is the corner x = -1, a boundary node
+        bad = {"negative_index": "-1", "exterior_index": "0",
+               "non_numeric_index": "5x"}[case]
+        lines[row] = bad + lines[row][lines[row].index(","):]
+    return lines
+
+
+@pytest.mark.parametrize("case", ["duplicate_row", "negative_index",
+                                  "exterior_index", "non_numeric_index",
+                                  "config_hash"])
+def test_read_field_csv_rejects_corrupt_field(tmp_path, case):
+    from gradcap.cli import read_field_csv, write_field_csv
+    from gradcap.geometry import SolutionField
+    spec = load_config(CONFIGS / "example_1d_control.json")
+    x = spec.grid.interior_points()[:, 0]
+    fld = SolutionField.from_interior_vector(spec.grid, 1.0 - x**2)
+    path = tmp_path / "u.csv"
+    write_field_csv(path, spec, fld)
+    assert np.array_equal(read_field_csv(path, spec).values, fld.values)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# config_hash={spec.config_hash}"
+    path.write_text("\n".join(_tamper(lines, spec, case)) + "\n")
+    with pytest.raises(ValidationError):
+        read_field_csv(path, spec)

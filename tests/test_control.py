@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import CONFIGS
+from gradcap.config import build_spec
 from gradcap.errors import PushOutsideAdmissible, StartOutsideDomain
-from gradcap.geometry import Box, build_grid
+from gradcap.geometry import Ball, Box, SolutionField, build_grid
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
 from gradcap.nidd import SolverOptions, solve_nidd
 from gradcap.operators import Coefficients, _vectorize_scalar
@@ -175,14 +179,41 @@ def test_sde_from_problem_requires_constant_c_and_unit_s():
         ctl.sde_from_problem(prob_bad, 2.0, levy=cp)
 
 
+def make_control_problem_2d():
+    grid = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 1 / 64)
+    cp = CompoundPoisson(atoms=(((0.25, -0.2), 0.5),))
+    quad = build_quadrature(cp, 1e-3, 2.0)
+    co = Coefficients(
+        a=lambda X: np.broadcast_to(
+            0.15 * np.eye(2), (np.atleast_2d(X).shape[0], 2, 2)).copy(),
+        b=lambda X: np.broadcast_to(
+            np.array([0.1, -0.05]), (np.atleast_2d(X).shape[0], 2)).copy(),
+        c=_vectorize_scalar(lambda X: 1.5),
+        h=lambda X: 3.0 * np.exp(
+            -6.0 * np.sum(np.atleast_2d(X) ** 2, axis=1)),
+        g=_vectorize_scalar(lambda X: 0.6),
+        theta=0.13, dim=2)
+    return Problem(grid, co, constant_density(1.0), quad), cp
+
+
+def test_sde_from_problem_checks_s_at_every_quadrature_node():
+    # s dips to 0.5 only near z = -0.5, the config's one jump atom
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg["jump_density"] = {"type": "expr",
+                           "body": "1 - 0.5*exp(-10000*(z+0.5)**2)"}
+    spec = build_spec(cfg)
+    with pytest.raises(ValueError, match="identically 1"):
+        ctl.sde_from_problem(spec.problem, spec.q, levy=spec.levy)
+
+
 def test_penalized_policy_regions():
     prob, cp = make_control_problem()
     rep = solve_nidd(prob, 0.1, SolverOptions())
-    policy = ctl.penalized_policy(rep.solution, 0.1, prob.coeffs.g)
-    pts = prob.grid.interior_points()
-    rate, n = policy.rate_and_direction(pts)
-    grads = policy.gradient_at(pts)
-    norm = np.abs(grads[:, 0])
+    policy = ctl.PenalizedFeedback(rep.solution, 0.1, prob.coeffs.g)
+    grid = prob.grid
+    rate, n, _ = policy.act(grid.interior_points(), 0.0, prob.coeffs.g)
+    grads = ctl._lattice_gradient(grid, rep.solution.values)
+    norm = np.abs(grads[0].ravel()[grid.interior_flat])
     inactive = norm**2 <= 0.25
     assert np.allclose(rate[inactive], 0.0, atol=1e-12)
     strong = norm**2 - 0.25 >= 2 * 0.1
@@ -190,6 +221,41 @@ def test_penalized_policy_regions():
     assert np.allclose(np.abs(n[:, 0]), 1.0)
     # admissibility: observed rate stays under (2/eps) * grad_sup
     assert rate.max() <= (2 / 0.1) * rep.grad_sup + 1e-9
+
+
+@pytest.mark.parametrize("make", [make_control_problem,
+                                  make_control_problem_2d])
+def test_penalized_feedback_act_is_one_table_interpolation(make):
+    prob, _ = make()
+    grid = prob.grid
+    X = grid.interior_points()
+    r2 = np.sum(X**2, axis=1)
+    u = SolutionField.from_interior_vector(grid, 2.0 * (1.0 - r2))
+    policy = ctl.PenalizedFeedback(u, 0.1, prob.coeffs.g)
+    rng = np.random.default_rng(4)
+    lo, hi = grid.domain.bounding_box()
+    pts = rng.uniform(lo, hi, size=(4000, grid.dim))
+    pts = pts[grid.domain.contains_batch(pts)]
+    rate, n, effort = policy.act(pts, 0.0, prob.coeffs.g)
+    cols = [SolutionField(grid, c.reshape(grid.shape)).values_extended(pts)
+            for c in policy.table.T]
+    grad = np.column_stack(cols[:grid.dim])
+    norm = np.linalg.norm(grad, axis=1)
+    assert np.all(norm > 0)
+    assert np.array_equal(n, grad / norm[:, None])
+    assert np.array_equal(rate, np.maximum(cols[grid.dim], 0.0))
+    assert np.array_equal(effort, np.maximum(cols[grid.dim + 1], 0.0))
+    assert rate.max() > 0 and effort.max() > 0  # the push is active
+
+
+def test_constant_rate_validates_at_construction():
+    with pytest.raises(TypeError):
+        ctl.ConstantRate(n=(1.0,), rate=0.3)  # eps is required
+    for kw in (dict(n=(0.0,), rate=0.3, eps=0.1),
+               dict(n=(1.0,), rate=-0.3, eps=0.1),
+               dict(n=(1.0,), rate=0.3, eps=1.0)):
+        with pytest.raises(ValueError):
+            ctl.ConstantRate(**kw)
 
 
 def test_penalized_value_equality_quick():
@@ -260,24 +326,6 @@ def test_cost_estimates_nonnegative_for_nonnegative_data():
                                    pushes=((0.7, (1.0,), 0.3),))
     est2 = ctl.estimate_singular_value(par, spec, np.array([0.0]), 64, 3)
     assert est2.mean >= 0.0
-
-
-def make_control_problem_2d():
-    from gradcap.geometry import Ball
-    grid = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 1 / 64)
-    cp = CompoundPoisson(atoms=(((0.25, -0.2), 0.5),))
-    quad = build_quadrature(cp, 1e-3, 2.0)
-    co = Coefficients(
-        a=lambda X: np.broadcast_to(
-            0.15 * np.eye(2), (np.atleast_2d(X).shape[0], 2, 2)).copy(),
-        b=lambda X: np.broadcast_to(
-            np.array([0.1, -0.05]), (np.atleast_2d(X).shape[0], 2)).copy(),
-        c=_vectorize_scalar(lambda X: 1.5),
-        h=lambda X: 3.0 * np.exp(
-            -6.0 * np.sum(np.atleast_2d(X) ** 2, axis=1)),
-        g=_vectorize_scalar(lambda X: 0.6),
-        theta=0.13, dim=2)
-    return Problem(grid, co, constant_density(1.0), quad), cp
 
 
 def test_penalized_value_equality_2d():
