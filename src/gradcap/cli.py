@@ -214,21 +214,35 @@ def _parse_x0(values, dim):
     return pts
 
 
+def _check_paths(n_paths):
+    if n_paths < 2:
+        raise ValidationError(
+            "paths", f"--paths {n_paths}: a standard error needs at least 2")
+
+
+def _penalized_eps(eps, what):
+    if eps is None:
+        raise ValidationError("eps", f"{what} needs --eps")
+    if not 0.0 < eps < 1.0:
+        raise ValidationError("eps", f"--eps {eps} must lie in (0, 1)")
+    return eps
+
+
 def cmd_simulate(args):
+    _check_paths(args.paths)
     spec = load_config(args.config)
     params = _sde_params(spec)
     x0 = _parse_x0(args.x0, spec.grid.dim)[0]
     if args.policy == "penalized":
-        if not args.field or args.eps is None:
-            raise ValidationError(
-                "policy", "penalized policy needs --field and --eps")
+        if not args.field:
+            raise ValidationError("policy", "penalized policy needs --field")
+        eps = _penalized_eps(args.eps, "penalized policy")
         fld = read_field_csv(args.field, spec)
-        policy = ctl.PenalizedFeedback(fld, args.eps, spec.coeffs.g)
+        policy = ctl.PenalizedFeedback(fld, eps, spec.coeffs.g)
     elif args.policy == "null":
         policy = ctl.NullControl()
     elif args.policy == "constant":
-        if args.eps is None:
-            raise ValidationError("eps", "constant policy needs --eps")
+        eps = _penalized_eps(args.eps, "constant policy")
         direction = [float(v) for v in args.direction.split(",")] \
             if args.direction else [1.0] * spec.grid.dim
         if len(direction) != spec.grid.dim:
@@ -236,7 +250,7 @@ def cmd_simulate(args):
                 "direction", f"expected {spec.grid.dim} coordinates")
         try:
             policy = ctl.ConstantRate(n=tuple(direction), rate=args.rate,
-                                      eps=args.eps)
+                                      eps=eps)
         except ValueError as exc:
             raise ValidationError("policy", str(exc)) from exc
     else:
@@ -260,16 +274,16 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    _check_paths(args.paths)
     spec = load_config(args.config)
     params = _sde_params(spec)
     fld = read_field_csv(args.field, spec)
     x0_list = _parse_x0(args.x0, spec.grid.dim)
     if args.mode == "penalized":
-        if args.eps is None:
-            raise ValidationError("eps", "penalized mode needs --eps")
+        eps = _penalized_eps(args.eps, "penalized mode")
         rep = ctl.verify_value_equality(
             spec.problem, fld, "penalized", x0_list, args.paths, args.seed,
-            params=params, eps=args.eps)
+            params=params, eps=eps)
     elif args.mode == "singular":
         controls = [ctl.SingularControlSpec(n=(1.0,) * spec.grid.dim,
                                             rate=0.0)]

@@ -14,6 +14,13 @@ continuous policies price their push rate by the conjugate penalty;
 singular test controls pay the constraint weight g times their rate, and
 g along each impulse segment (Gauss-Legendre along the straight
 displacement).
+
+Paths run in batches that one budget of standard normals sizes: a batch
+holds at most `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` paths and draws
+its normals `_NORMALS_BUDGET // (n * d)` steps at a time.  A batch steps
+until its slowest path exits, so fewer, fuller batches pay the per-step
+Python overhead fewer times.  Per-path seeds keep every estimate
+independent of the batching.
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL01_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
-_BATCH = 2048
-_CHUNK_STEPS = 1024
+# standard normals one batch may hold at once (16 MB); a batch's path count
+# and its refill width both follow from it
+_NORMALS_BUDGET = 2**21
+# fewest steps one refill covers, so the per-path refill loop stays rare
+_MIN_CHUNK_STEPS = 256
 
 
 @dataclass
@@ -44,11 +54,14 @@ class SdeParams:
     uses effective_drift = drift + int_{|z|<1} z nu(dz) together with
     uncompensated jump sampling, which describes the same process.  The
     noise dimension equals the state dimension (sigma maps to (n, d, d)).
+    The engine calls drift, sigma and h_cost once per step on the live
+    paths; the sigma of `sde_from_problem` broadcasts one matrix factored
+    in advance.
     """
 
     domain: object
     drift: object            # X (n,d) -> (n,d)
-    sigma: object            # X (n,d) -> (n,d,m)
+    sigma: object            # X (n,d) -> (n,d,d)
     q: float
     h_cost: object           # X (n,d) -> (n,)
     g_cost: object           # X (n,d) -> (n,)
@@ -113,12 +126,17 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
     the constant q at every node and the jump density must be identically 1,
     which is when the operator is the generator of the simulated process
     (diffusion a = sigma sigma^T / 2, drift b equal to the effective drift).
+    The diffusion a must also be the same matrix at every interior node, so
+    sigma = sqrt(2a) is factored once here, not at every step.
     """
     grid = problem.grid
     pts = grid.interior_points()
     c_vals = problem.coeffs.c(pts)
     if np.max(np.abs(c_vals - q)) > 1e-10 * (1.0 + abs(q)):
         raise ValueError("simulation requires c constant and equal to q")
+    a_vals = np.asarray(problem.coeffs.a(pts), dtype=float)
+    if np.any(a_vals != a_vals[:1]):
+        raise ValueError("simulation requires constant a")
     # the operator reads s at every interior point and quadrature node
     for z in problem.quad.nodes:
         if np.max(np.abs(problem.s.eval(pts, z) - 1.0)) > 1e-12:
@@ -127,9 +145,10 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
         t_max = 14.0 / q
 
     coeffs = problem.coeffs
+    sig0 = _matrix_sqrt_batched(2.0 * a_vals[:1])[0]
 
     def sigma_fn(X):
-        return _matrix_sqrt_batched(2.0 * np.asarray(coeffs.a(X), dtype=float))
+        return np.broadcast_to(sig0, (X.shape[0],) + sig0.shape)
 
     mean = (np.asarray(levy.small_jump_mean(1.0), dtype=float)
             if levy is not None else np.zeros(grid.dim))
@@ -319,7 +338,11 @@ def _path_jumps(params, seed_rng):
 
 
 def _simulate_batch(params, seeds, x0, control, record=False):
-    """Advance one batch of paths to exit or horizon; returns costs.
+    """Advance one batch of paths to exit or horizon.
+
+    Returns the discounted costs, the final states (an exited path keeps
+    its first state outside the domain), the exit flags and times, and the
+    largest push rate seen.
 
     Every step asks the control for `act(X, t, g_cost)`, which returns the
     push rate, its direction and the effort cost rate paid on top of the
@@ -328,7 +351,9 @@ def _simulate_batch(params, seeds, x0, control, record=False):
 
     Each path owns one generator seeded with its entry of `seeds`; it
     yields that path's jumps first and diffusion increments afterwards, so
-    per-path results do not depend on how paths are batched together.
+    per-path results do not depend on how paths are batched together.  The
+    increments are drawn in chunks of `_NORMALS_BUDGET // (n * d)` steps
+    (at least `_MIN_CHUNK_STEPS`), refilled only for live paths.
     """
     d = params.domain.dim
     n = len(seeds)
@@ -370,7 +395,9 @@ def _simulate_batch(params, seeds, x0, control, record=False):
     exit_times = np.full(n, params.t_max)
     max_rate = 0.0
 
-    normals = np.empty((n, min(_CHUNK_STEPS, n_steps), d))
+    chunk_steps = min(max(_NORMALS_BUDGET // (n * d), _MIN_CHUNK_STEPS),
+                      n_steps)
+    normals = np.empty((n, chunk_steps, d))
     for i, rng in enumerate(rngs):
         normals[i] = rng.standard_normal(normals.shape[1:])
     chunk_base = 0
@@ -382,9 +409,9 @@ def _simulate_batch(params, seeds, x0, control, record=False):
         if idx.size == 0:
             break
         t = k * dt
-        if k - chunk_base >= _CHUNK_STEPS:
+        if k - chunk_base >= chunk_steps:
             chunk_base = k
-            width = min(_CHUNK_STEPS, n_steps - k)
+            width = min(chunk_steps, n_steps - k)
             for i in idx:
                 normals[i, :width] = rngs[i].standard_normal((width, d))
         xa = x[idx]
@@ -438,6 +465,7 @@ def _simulate_batch(params, seeds, x0, control, record=False):
 
     result = {
         "cost": cost,
+        "final": x,
         "exited": ~alive,
         "exit_times": exit_times,
         "max_rate": max_rate,
@@ -464,10 +492,12 @@ def _bias_bound(params):
 
 
 def _estimate(params, x0, n_paths, base_seed, control):
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     costs = np.empty(n_paths)
     max_rate = 0.0
-    for start in range(0, n_paths, _BATCH):
-        idx = np.arange(start, min(start + _BATCH, n_paths))
+    cap = _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * params.domain.dim)
+    for idx in np.array_split(np.arange(n_paths), -(-n_paths // cap)):
         out = _simulate_batch(params, base_seed + idx, x0, control)
         costs[idx] = out["cost"]
         max_rate = max(max_rate, out["max_rate"])

@@ -251,6 +251,50 @@ def test_cli_simulate_constant_policy(tmp_path):
     assert two_dims.returncode == 2
 
 
+def short_control_field(tmp_path):
+    """A short-horizon control config and a field CSV written for it."""
+    from gradcap.cli import write_field_csv
+    from gradcap.geometry import SolutionField
+    cfg = short_control_config(tmp_path)
+    spec = load_config(cfg)
+    x = spec.grid.interior_points()[:, 0]
+    field = tmp_path / "u.csv"
+    write_field_csv(field, spec,
+                    SolutionField.from_interior_vector(spec.grid, 1.0 - x**2))
+    return cfg, field
+
+
+@pytest.mark.parametrize("eps", ["1.5", "0", "-0.1"])
+def test_cli_penalized_eps_outside_unit_interval_exit_2(tmp_path, capsys,
+                                                        eps):
+    from gradcap.cli import main
+    cfg, field = short_control_field(tmp_path)
+    out = tmp_path / "out.json"
+    common = ["--config", str(cfg), "--field", str(field), "--eps", eps,
+              "--x0", "0.0", "--paths", "20", "--out", str(out)]
+    for cmd in (["simulate", "--policy", "penalized"],
+                ["verify", "--mode", "penalized"]):
+        assert main(cmd + common) == 2, cmd
+        assert "must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
+    from gradcap.cli import main
+    cfg, field = short_control_field(tmp_path)
+    out = tmp_path / "out.json"
+    for paths in ("1", "0", "-3"):
+        for cmd in (["simulate", "--policy", "null"],
+                    ["verify", "--mode", "singular", "--field", str(field)]):
+            assert main(cmd + ["--config", str(cfg), "--x0", "0.0",
+                               "--paths", paths, "--out", str(out)]) == 2
+            assert "--paths" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--policy", "null", "--config", str(cfg),
+                 "--x0", "0.0", "--paths", "2", "--out", str(out)]) == 0
+    assert np.isfinite(json.loads(out.read_text())["stderr"])
+
+
 def _tamper(lines, spec, case):
     """Break one thing in the lines of a valid field CSV."""
     row = 7  # a data row; line 0 is the hash, line 1 the column header

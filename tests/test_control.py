@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,13 @@ def test_discounted_integral_oracle():
     assert est.stderr == 0.0  # deterministic dynamics
 
 
+def test_estimate_rejects_no_paths():
+    for n_paths in (0, -3):
+        with pytest.raises(ValueError, match="n_paths"):
+            ctl.estimate_penalized_value(flat_params(), ctl.NullControl(),
+                                         np.array([0.0]), n_paths, 0)
+
+
 def test_zero_running_cost_is_exactly_zero():
     par = flat_params(h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
     est = ctl.estimate_penalized_value(par, ctl.NullControl(),
@@ -67,11 +75,8 @@ def test_jump_mean_compensation():
     cp = CompoundPoisson(atoms=(((0.5,), 2.0),))
     par = flat_params(levy=cp, jump_truncation=0.01, t_max=2.0,
                       h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
-    finals = []
-    for seed in range(400):
-        p = ctl.simulate_path(par, ctl.NullControl(), np.array([0.0]), seed)
-        finals.append(p.states[-1][0])
-    finals = np.array(finals)
+    finals = ctl._simulate_batch(par, np.arange(400), np.array([0.0]),
+                                 ctl.NullControl())["final"][:, 0]
     assert abs(np.mean(finals)) <= 4 * np.std(finals) / np.sqrt(len(finals))
 
 
@@ -177,6 +182,12 @@ def test_sde_from_problem_requires_constant_c_and_unit_s():
                        prob.quad)
     with pytest.raises(ValueError):
         ctl.sde_from_problem(prob_bad, 2.0, levy=cp)
+    # sigma is factored once, so a must not vary between nodes
+    a_var = dataclasses.replace(prob.coeffs, a=lambda X: (
+        0.1 + 0.01 * np.atleast_2d(X)[:, 0])[:, None, None])
+    prob_bad = Problem(prob.grid, a_var, prob.s, prob.quad)
+    with pytest.raises(ValueError, match="constant a"):
+        ctl.sde_from_problem(prob_bad, 2.0, levy=cp)
 
 
 def make_control_problem_2d():
@@ -246,6 +257,40 @@ def test_penalized_feedback_act_is_one_table_interpolation(make):
     assert np.array_equal(rate, np.maximum(cols[grid.dim], 0.0))
     assert np.array_equal(effort, np.maximum(cols[grid.dim + 1], 0.0))
     assert rate.max() > 0 and effort.max() > 0  # the push is active
+
+
+def _feedback_1d(prob):
+    x = prob.grid.interior_points()[:, 0]
+    # the push binds only where |u'| = 0.6 |x| exceeds g = 0.5
+    u = SolutionField.from_interior_vector(prob.grid, 0.3 * (1.0 - x**2))
+    return ctl.PenalizedFeedback(u, 0.1, prob.coeffs.g)
+
+
+def _pushes_2d(prob):
+    return ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
+                                   pushes=((0.5, (1.0, 1.0), 0.1),))
+
+
+@pytest.mark.parametrize("make, q, control, x0", [
+    (make_control_problem, 2.0, _feedback_1d, (0.3,)),
+    (make_control_problem_2d, 1.5, _pushes_2d, (0.2, -0.1))])
+def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
+                                              x0):
+    prob, cp = make()
+    params = ctl.sde_from_problem(prob, q, t_max=3.0, levy=cp)
+    ctrl = control(prob)
+
+    def run():
+        return ctl._estimate(params, np.array(x0), 50, 17, ctrl)
+
+    full = run()
+    # 50 paths in batches of at most 16 (1D) or 8 (2D), each refilling its
+    # normals every 256 to 341 steps; by default one batch draws them all
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    split = run()
+    assert full.max_rate_observed > 0
+    assert (split.mean, split.stderr, split.max_rate_observed) == \
+        (full.mean, full.stderr, full.max_rate_observed)
 
 
 def test_constant_rate_validates_at_construction():
