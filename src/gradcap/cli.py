@@ -192,14 +192,9 @@ def cmd_residual(args):
 def _sde_params(spec):
     if spec.q is None:
         raise ValidationError("q", "simulation requires a discount q")
-    sde = spec.sde
     try:
-        return ctl.sde_from_problem(
-            spec.problem, spec.q,
-            dt=sde.get("dt", 1e-3),
-            t_max=sde.get("t_max"),
-            jump_truncation=sde.get("jump_truncation", 1e-3),
-            levy=spec.levy)
+        return ctl.sde_from_problem(spec.problem, spec.q, levy=spec.levy,
+                                    **spec.sde)
     except ValueError as exc:
         raise ValidationError("sde", str(exc)) from exc
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergentMeasure, EllipticityViolation, ParseError,
-                     SpacingTooCoarse, ValidationError)
+from .errors import (DivergentMeasure, EllipticityViolation, InvalidCutoffs,
+                     ParseError, SpacingTooCoarse, ValidationError)
 from .geometry import Ball, Box, build_grid
 from .hjb import DEFAULT_EPS_SCHEDULE
 from .levy import (BVDensity, CompoundPoisson, JumpDensity, build_quadrature,
@@ -349,23 +349,15 @@ def build_spec(raw):
     q_delta = qd.get("delta", 1e-3)
     q_r = qd.get("r", 2.0)
     q_npd = qd.get("n_per_decade", 16)
-    if levy is not None:
-        try:
-            quad = build_quadrature(levy, q_delta, q_r, q_npd)
-        except Exception as exc:
-            raise ValidationError("quadrature", str(exc)) from exc
-    else:
-        quad = build_quadrature(
-            CompoundPoisson(atoms=(((1.0,) * dim, 1.0),)), q_delta, q_r,
-            q_npd)
-        quad = quad.__class__(nodes=np.zeros((0, dim)), weights=np.zeros(0),
-                              small_jump_cutoff=q_delta, tail_cutoff=q_r,
-                              discarded_small_mass=0.0)
+    try:
+        quad = build_quadrature(levy, q_delta, q_r, q_npd)
+    except (InvalidCutoffs, ValueError, TypeError) as exc:
+        raise ValidationError("quadrature", str(exc)) from exc
 
-    # spot-check the jump density range on grid nodes x quadrature offsets
-    probes = quad.nodes[:8] if quad.nodes.size else \
+    # the operator reads s at every interior point and quadrature node
+    probes = quad.nodes if quad.nodes.size else \
         [np.full(dim, 0.5), np.full(dim, -0.5)]
-    pts = grid.interior_points()[:64]
+    pts = grid.interior_points()
     for z in probes:
         vals = s.eval(pts, z)
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):

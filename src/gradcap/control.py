@@ -1,11 +1,12 @@
 """Controlled jump-diffusion simulation and Monte Carlo cost estimation.
 
 The state follows an Euler-Maruyama discretization of
-    dX = -(drift_eff(X) + n * rate) dt + sigma(X) dW + dZ,
-where Z is the uncompensated jump part sampled above a truncation level and
-drift_eff folds the mean of the small jumps into the drift (legitimate under
-bounded variation).  Paths stop at the first state outside the open domain
-or at the horizon cap; the discount makes the cap bias negligible.
+    dX = -(b(X) + n * rate) dt + sigma(X) dW + dZ,
+where b is the operator's drift and Z is the uncompensated jump part
+sampled above a truncation level.  Under bounded variation the operator's
+jump integral needs no compensator, so b is the drift of the simulated
+process as it stands.  Paths stop at the first state outside the open
+domain or at the horizon cap; the discount makes the cap bias negligible.
 
 Every control answers one question per step, `act(X, t, g_cost) ->
 (rate, direction, effort)`, and lists its impulses in `pushes`; the step
@@ -50,13 +51,12 @@ _MIN_CHUNK_STEPS = 256
 class SdeParams:
     """Dynamics, discount, and cost data for the simulation engine.
 
-    `drift` is the raw drift of the compensated-jump form; the engine always
-    uses effective_drift = drift + int_{|z|<1} z nu(dz) together with
-    uncompensated jump sampling, which describes the same process.  The
-    noise dimension equals the state dimension (sigma maps to (n, d, d)).
-    The engine calls drift, sigma and h_cost once per step on the live
-    paths; the sigma of `sde_from_problem` broadcasts one matrix factored
-    in advance.
+    `drift` is the drift b the Euler step uses, the operator's own; jumps
+    are sampled uncompensated, which is the process the operator generates
+    for a bounded-variation measure.  The noise dimension equals the state
+    dimension (sigma maps to (n, d, d)).  The engine calls drift, sigma and
+    h_cost once per step on the live paths; the sigma of `sde_from_problem`
+    broadcasts one matrix factored in advance.
     """
 
     domain: object
@@ -69,46 +69,12 @@ class SdeParams:
     jump_truncation: float = 1e-3
     t_max: float = 14.0
     dt: float = 1e-3
-    growth_const: float = None
 
     def __post_init__(self):
         if not self.q > 0:
             raise ValueError("discount q must be positive")
         if not self.dt > 0 or not self.t_max > 0:
             raise ValueError("dt and t_max must be positive")
-        d = self.domain.dim
-        if self.levy is not None:
-            self._jump_mean = np.asarray(self.levy.small_jump_mean(1.0),
-                                         dtype=float)
-        else:
-            self._jump_mean = np.zeros(d)
-
-    def effective_drift(self, X):
-        return np.asarray(self.drift(X), dtype=float) + self._jump_mean
-
-    def spot_check_growth(self, rng=None, n=64, radius=10.0):
-        """Sample the declared linear-growth/Lipschitz constant on random
-        point pairs; returns the worst observed quotients."""
-        rng = rng or np.random.default_rng(0)
-        d = self.domain.dim
-        X = rng.uniform(-radius, radius, size=(n, d))
-        Y = rng.uniform(-radius, radius, size=(n, d))
-        bX = np.asarray(self.drift(X), dtype=float)
-        bY = np.asarray(self.drift(Y), dtype=float)
-        sX = np.asarray(self.sigma(X), dtype=float)
-        sY = np.asarray(self.sigma(Y), dtype=float)
-        growth = np.max(
-            (np.sum(sX**2, axis=(1, 2)) + np.sum(bX**2, axis=1))
-            / (1.0 + np.sum(X**2, axis=1)))
-        diff = (np.sum((sX - sY) ** 2, axis=(1, 2))
-                + np.sum((bX - bY) ** 2, axis=1))
-        lip = np.max(diff / np.maximum(np.sum((X - Y) ** 2, axis=1), 1e-300))
-        worst = float(max(growth, lip))
-        if self.growth_const is not None and worst > self.growth_const + 1e-9:
-            raise ValueError(
-                f"observed growth/Lipschitz quotient {worst:.3e} exceeds "
-                f"declared constant {self.growth_const:.3e}")
-        return worst
 
 
 def _matrix_sqrt_batched(A):
@@ -125,7 +91,7 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
     Valid only in the constant-discount unit-density regime: c must equal
     the constant q at every node and the jump density must be identically 1,
     which is when the operator is the generator of the simulated process
-    (diffusion a = sigma sigma^T / 2, drift b equal to the effective drift).
+    (diffusion a = sigma sigma^T / 2, drift b).
     The diffusion a must also be the same matrix at every interior node, so
     sigma = sqrt(2a) is factored once here, not at every step.
     """
@@ -150,14 +116,7 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
     def sigma_fn(X):
         return np.broadcast_to(sig0, (X.shape[0],) + sig0.shape)
 
-    mean = (np.asarray(levy.small_jump_mean(1.0), dtype=float)
-            if levy is not None else np.zeros(grid.dim))
-
-    def drift_fn(X):
-        # PDE drift coefficient is the effective (uncompensated-form) drift
-        return np.asarray(coeffs.b(X), dtype=float) - mean
-
-    return SdeParams(domain=grid.domain, drift=drift_fn, sigma=sigma_fn,
+    return SdeParams(domain=grid.domain, drift=coeffs.b, sigma=sigma_fn,
                      q=q, h_cost=coeffs.h, g_cost=coeffs.g, levy=levy,
                      jump_truncation=jump_truncation, t_max=t_max, dt=dt)
 
@@ -423,7 +382,8 @@ def _simulate_batch(params, seeds, x0, control, record=False):
         cost[idx] += np.exp(-params.q * t) * run * dt
 
         # Euler step: drift (including the control push) plus diffusion
-        drift = params.effective_drift(xa) + n_dir * rate[:, None]
+        drift = np.asarray(params.drift(xa), dtype=float) \
+            + n_dir * rate[:, None]
         sig = np.asarray(params.sigma(xa), dtype=float)
         xi = normals[idx, k - chunk_base]
         x[idx] = xa - drift * dt \
@@ -528,7 +488,7 @@ class VerificationReport:
 
 
 def _drift_sup(params, policy, grid_pts):
-    drift = params.effective_drift(grid_pts)
+    drift = np.asarray(params.drift(grid_pts), dtype=float)
     base = float(np.max(np.linalg.norm(drift, axis=1)))
     if policy is not None:
         rate, _, _ = policy.act(grid_pts, 0.0, params.g_cost)

@@ -170,12 +170,6 @@ class Grid:
     def interior_points(self):
         return self._points[self.interior_flat]
 
-    def multi_index(self, flat):
-        return np.unravel_index(flat, self.shape)
-
-    def flat_index(self, multi):
-        return np.ravel_multi_index(multi, self.shape)
-
     def same_as(self, other):
         return (self.shape == other.shape and self.h == other.h
                 and self.domain == other.domain)

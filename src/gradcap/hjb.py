@@ -18,16 +18,19 @@ from .nidd import SolverOptions, _gradient_sq, solve_nidd
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 
+# u^eps may rise between eps steps by at most
+# _MONO_TOL_FACTOR (1 + max u) + _MONO_GRID_SLACK h^2
+_MONO_TOL_FACTOR = 1e-6
+_MONO_GRID_SLACK = 10.0
+# continuation stops once both residuals change by less than this fraction
+_STAGNATION_RTOL = 0.02
+# geometric refinements of a failing eps step
+_MAX_SUBSTEPS = 4
+
 
 @dataclass
 class HjbOptions:
     nidd: SolverOptions = field(default_factory=SolverOptions)
-    mono_tol_factor: float = 1e-6
-    mono_grid_slack: float = 10.0
-    stop_on_stagnation: bool = True
-    stagnation_rtol: float = 0.02
-    activity_tol: float = None
-    max_substeps: int = 4  # geometric refinements of a failing eps step
 
 
 @dataclass
@@ -44,18 +47,19 @@ class HjbReport:
     nidd_reports: list
 
 
-def hjb_residual(problem, fld, activity_tol=None):
+def hjb_residual(problem, fld):
     """Node-wise residuals of max{Gamma u - h, |Du| - g} = 0.
 
     Returns sup of the positive parts of both branches, the complementarity
     defect sup |min(h - Gamma u, g - |Du|)| (zero exactly when both
-    constraints hold and one is tight), and a per-node breakdown.
+    constraints hold and one is tight), and a per-node breakdown.  A node
+    counts as active when |Du| - g >= -max(1e-6, 5 h), a band of the
+    gradient's discretization error.
     """
     grid = problem.grid
     if fld.grid is not grid and not fld.grid.same_as(grid):
         raise GridMismatch("field lives on a different grid than the problem")
-    if activity_tol is None:
-        activity_tol = max(1e-6, 5.0 * grid.h)
+    activity_tol = max(1e-6, 5.0 * grid.h)
     u_int = fld.interior_vector()
     gamma = problem.matrix().gamma_matrix()
     h_int = problem.h_interior()
@@ -90,7 +94,7 @@ def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
         rep = solve_nidd(problem, eps, nidd_opts)
         return rep, rep.iterations
     except MaxIterationsExceeded:
-        if depth >= opts.max_substeps or eps_prev is None:
+        if depth >= _MAX_SUBSTEPS or eps_prev is None:
             raise
     mid = float(np.sqrt(eps_prev * eps))
     rep_mid, n_mid = _solve_with_substeps(problem, mid, eps_prev, warm, opts,
@@ -128,8 +132,8 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
             diff = rep.solution.values - prev.values
             sup_update = float(np.max(np.abs(diff)))
             mono = float(np.max(diff))
-            mono_tol = opts.mono_tol_factor * (1.0 + rep.max_value) \
-                + opts.mono_grid_slack * h2
+            mono_tol = _MONO_TOL_FACTOR * (1.0 + rep.max_value) \
+                + _MONO_GRID_SLACK * h2
             if mono > mono_tol:
                 raise MonotonicityViolation(
                     f"u^eps increased by {mono:.3e} (> {mono_tol:.3e}) "
@@ -140,7 +144,7 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
         reports.append(rep)
         prev = rep.solution
 
-        res = hjb_residual(problem, prev, opts.activity_tol)
+        res = hjb_residual(problem, prev)
         # a residual plateau only marks the discretization floor once the
         # penalty has left its blend zone at the worst node (arg >= 2 eps)
         # or never activates at all; in between, smaller eps still helps
@@ -148,8 +152,7 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
         arg_max = float(np.max(grad_sq - problem.g_interior() ** 2,
                                initial=-1.0))
         armed = arg_max <= 0.0 or arg_max >= 2.0 * eps
-        if opts.stop_on_stagnation and prev_res is not None and k >= 1 \
-                and armed:
+        if prev_res is not None and k >= 1 and armed:
             # residuals at the solver floor jitter multiplicatively, so the
             # relative change is measured against an absolute floor too
             h_scale = float(np.max(np.abs(problem.h_interior()), initial=0.0))
@@ -159,12 +162,12 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
                       floor)
             rel_g = abs(prev_res["grad_pos"] - res["grad_pos"]) \
                 / max(prev_res["grad_pos"], res["grad_pos"], floor)
-            if rel < opts.stagnation_rtol and rel_g < opts.stagnation_rtol:
+            if rel < _STAGNATION_RTOL and rel_g < _STAGNATION_RTOL:
                 prev_res = res
                 break
         prev_res = res
 
-    final = hjb_residual(problem, prev, opts.activity_tol)
+    final = hjb_residual(problem, prev)
     return HjbReport(
         solution=prev,
         eps_trace=trace,

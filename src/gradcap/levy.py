@@ -6,7 +6,10 @@ Two model families are supported.  CompoundPoisson is a finite list of atoms
 radial density kappa * r^(-1-alpha) * exp(-lambda * r) on each ray of a
 finite direction set, truncated to [z_min, z_max]; alpha < 1 keeps the first
 moment near the origin finite (bounded variation), so discarded small jumps
-cost at most their absolute first moment and no compensating drift is needed.
+cost at most their absolute first moment.  Bounded variation also means the
+jump integral needs no compensator: the operator integrates u(x+z) - u(x)
+against nu, and the simulator samples the jumps uncompensated next to the
+operator's own drift b.
 """
 
 from __future__ import annotations
@@ -86,14 +89,6 @@ class CompoundPoisson:
         keep = r < delta
         return float(np.sum(m[keep] * r[keep]))
 
-    def small_jump_mean(self, cut=1.0):
-        Z, m = self._z_array()
-        if Z.size == 0:
-            return np.zeros(self.dim)
-        r = np.linalg.norm(Z, axis=1)
-        keep = r < cut
-        return (m[keep, None] * Z[keep]).sum(axis=0)
-
     def quadrature_nodes(self, delta, R, n_per_decade):
         # explicit atoms pass through untouched; tail cutoff never drops one
         Z, m = self._z_array()
@@ -170,10 +165,6 @@ class BVDensity:
     def small_first_moment(self, delta):
         # conservative bound: integrate the ideal density from 0
         return len(self.rays) * self._ray_first_moment(0.0, delta)
-
-    def small_jump_mean(self, cut=1.0):
-        fm = self._ray_first_moment(self.z_min, min(cut, self.z_max))
-        return sum(fm * np.array(r) for r in self.rays)
 
     def quadrature_nodes(self, delta, R, n_per_decade):
         a = max(delta, self.z_min)
@@ -274,10 +265,14 @@ def moment_check(levy):
 
 
 def build_quadrature(levy, delta, R, n_per_decade=16):
+    """Quadrature rule of `levy` on delta <= |z| <= R after checking the
+    cutoffs; `levy=None` (no jumps) gives the empty rule."""
     if not 0 < delta < R:
         raise InvalidCutoffs(f"need 0 < delta < R, got delta={delta}, R={R}")
     if n_per_decade < 4:
         raise ValueError("n_per_decade must be at least 4")
+    if levy is None:
+        levy = CompoundPoisson(atoms=())
     Z, w = levy.quadrature_nodes(delta, R, n_per_decade)
     if Z.size:
         tail = max(R, float(np.max(np.linalg.norm(Z, axis=1))))

@@ -26,12 +26,15 @@ from .operators import interior_gradient
 from .penalty import PenaltyFn
 
 
+# slack of the a priori sandwich 0 <= u <= C1 checked on every solution
+_SANDWICH_TOL = 1e-8
+
+
 @dataclass
 class SolverOptions:
     tol_update_factor: float = 1e-8
     tol_res_factor: float = 1e-6
     max_iter: int = 500
-    sandwich_tol: float = 1e-8
     initial: object = None  # warm start SolutionField
 
 
@@ -265,11 +268,11 @@ def solve_nidd(problem, eps, opts=None):
             f"{head} (residual {res:.3e}, update {update:.3e})",
             report=report, reason=stop)
 
-    if report.min_value < -opts.sandwich_tol or \
-            report.max_value > bound_c1 + opts.sandwich_tol:
+    if report.min_value < -_SANDWICH_TOL or \
+            report.max_value > bound_c1 + _SANDWICH_TOL:
         raise BoundViolation(
             f"solution range [{report.min_value:.3e}, {report.max_value:.3e}] "
-            f"violates [0, C1={bound_c1:.6e}] beyond {opts.sandwich_tol}")
+            f"violates [0, C1={bound_c1:.6e}] beyond {_SANDWICH_TOL}")
     return report
 
 

@@ -294,9 +294,6 @@ class OperatorMatrix:
     def __post_init__(self):
         self._cache = {}
 
-    def nonlocal_part(self):
-        return (self.jump_gather - sp.diags(self.jump_mass)).tocsr()
-
     def gamma_matrix(self):
         if "gamma" not in self._cache:
             self._cache["gamma"] = (

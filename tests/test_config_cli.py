@@ -95,6 +95,12 @@ def test_jump_density_range_validated():
     cfg = base_config(jump_density={"type": "constant", "value": 1.3})
     with pytest.raises(ValidationError):
         build_spec(cfg)
+    # s reaches 1.5 only near x = 0.9, far from the first grid points
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg["jump_density"] = {"type": "expr",
+                           "body": "1.0 + 0.5*exp(-1000*(x-0.9)**2)"}
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        build_spec(cfg)
 
 
 def test_parse_error_reports_location(tmp_path):
@@ -151,6 +157,23 @@ def test_cli_validation_error_exit_2(tmp_path):
                    "--out", str(tmp_path / "u.csv"))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["example_1d_tight", "example_1d_control"])
+@pytest.mark.parametrize("quad", [{"delta": 3.0, "r": 2.0},
+                                  {"delta": 2.0, "r": 2.0},
+                                  {"n_per_decade": 3}])
+def test_cli_bad_quadrature_exit_2(tmp_path, capsys, name, quad):
+    # example_1d_tight has no levy block, example_1d_control has one
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["quadrature"] = quad
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "u.csv"
+    assert main(["solve-hjb", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: quadrature:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_solver_failure_exit_1_with_best_iterate(tmp_path):

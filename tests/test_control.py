@@ -70,10 +70,11 @@ def test_zero_running_cost_is_exactly_zero():
 
 
 def test_jump_mean_compensation():
-    # raw drift 0 with atom (0.5, mass 2): effective drift 1 cancels the
-    # jump mean, so E[X_T] stays at x0
+    # atom (0.5, mass 2) has jump mean 1; drift 1 (dX = -drift dt + dZ)
+    # cancels it, so E[X_T] stays at x0
     cp = CompoundPoisson(atoms=(((0.5,), 2.0),))
     par = flat_params(levy=cp, jump_truncation=0.01, t_max=2.0,
+                      drift=lambda X: np.ones_like(X),
                       h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
     finals = ctl._simulate_batch(par, np.arange(400), np.array([0.0]),
                                  ctl.NullControl())["final"][:, 0]
@@ -325,19 +326,6 @@ def test_suboptimality_direction_quick():
         prob, rep.solution, "singular", [np.array([0.0])], 1500, 7,
         params=params, controls=controls)
     assert out.all_pass
-
-
-def test_growth_spot_check():
-    par = flat_params(drift=lambda X: 0.5 * np.atleast_2d(X),
-                      sigma=lambda X: np.tile(
-                          np.eye(1), (np.atleast_2d(X).shape[0], 1, 1)),
-                      growth_const=2.0)
-    worst = par.spot_check_growth()
-    assert worst <= 2.0
-    bad = flat_params(drift=lambda X: 0.5 * np.atleast_2d(X) ** 2,
-                      growth_const=0.1)
-    with pytest.raises(ValueError):
-        bad.spot_check_growth()
 
 
 def test_time_varying_singular_rate():
