@@ -20,7 +20,7 @@ from .errors import (ConfigError, GradcapError, MaxIterationsExceeded,
                      ValidationError)
 from .geometry import SolutionField
 from .hjb import HjbOptions, hjb_residual, solve_hjb
-from .nidd import SolverOptions, solve_nidd
+from .nidd import solve_nidd
 from .operators import interior_gradient
 
 
@@ -103,16 +103,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _solver_options(spec, warm=None):
-    base = spec.solver_options
-    return SolverOptions(**{**base.__dict__, "initial": warm})
-
-
 def cmd_solve_nidd(args):
     spec = load_config(args.config)
-    opts = _solver_options(spec)
     try:
-        rep = solve_nidd(spec.problem, args.eps, opts)
+        rep = solve_nidd(spec.problem, args.eps, spec.solver_options)
         exit_code = 0
     except MaxIterationsExceeded as exc:
         rep = exc.report
@@ -142,9 +136,9 @@ def cmd_solve_nidd(args):
 
 def cmd_solve_hjb(args):
     spec = load_config(args.config)
-    opts = HjbOptions(nidd=_solver_options(spec))
     try:
-        rep = solve_hjb(spec.problem, spec.eps_schedule, opts)
+        rep = solve_hjb(spec.problem, spec.eps_schedule,
+                        HjbOptions(nidd=spec.solver_options))
         exit_code = 0
     except MaxIterationsExceeded as exc:
         nidd_rep = exc.report

@@ -344,13 +344,17 @@ def build_spec(raw):
     levy = _parse_levy(raw.get("levy"), dim)
     s = _parse_jump_density(raw.get("jump_density"), dim)
 
-    qd = raw.get("quadrature", {})
-    _expect_keys(qd, "quadrature", (), ("delta", "r", "n_per_decade"))
-    q_delta = qd.get("delta", 1e-3)
-    q_r = qd.get("r", 2.0)
-    q_npd = qd.get("n_per_decade", 16)
+    _expect_keys(raw.get("quadrature", {}), "quadrature", (),
+                 ("delta", "r", "n_per_decade"))
+    _expect_keys(raw.get("solver", {}), "solver", (),
+                 ("tol_update_factor", "tol_res_factor", "max_iter"))
+    sde = raw.get("sde", {})
+    _expect_keys(sde, "sde", (), ("dt", "t_max", "jump_truncation"))
+    normalized = _normalize(raw)
+
+    qd = normalized["quadrature"]
     try:
-        quad = build_quadrature(levy, q_delta, q_r, q_npd)
+        quad = build_quadrature(levy, qd["delta"], qd["r"], qd["n_per_decade"])
     except (InvalidCutoffs, ValueError, TypeError) as exc:
         raise ValidationError("quadrature", str(exc)) from exc
 
@@ -364,38 +368,24 @@ def build_spec(raw):
             raise ValidationError("jump_density",
                                   "s(x, z) must take values in [0, 1]")
 
-    schedule = raw.get("eps_schedule", list(DEFAULT_EPS_SCHEDULE))
-    arr = np.asarray(schedule, dtype=float)
+    arr = np.asarray(normalized["eps_schedule"], dtype=float)
     if arr.size == 0 or np.any(arr <= 0) or np.any(arr >= 1) \
             or np.any(np.diff(arr) >= 0):
         raise ValidationError(
             "eps_schedule", "must be strictly decreasing within (0, 1)")
-
-    sd = raw.get("solver", {})
-    _expect_keys(sd, "solver", (),
-                 ("tol_update_factor", "tol_res_factor", "max_iter"))
-    solver_options = SolverOptions(
-        tol_update_factor=sd.get("tol_update_factor", 1e-8),
-        tol_res_factor=sd.get("tol_res_factor", 1e-6),
-        max_iter=sd.get("max_iter", 500),
-    )
 
     q_val = raw.get("q")
     if q_val is not None and (not isinstance(q_val, (int, float))
                               or q_val <= 0):
         raise ValidationError("q", "discount must be positive")
 
-    sde = raw.get("sde", {})
-    _expect_keys(sde, "sde", (), ("dt", "t_max", "jump_truncation"))
-
     problem = Problem(grid, coeffs, s, quad)
-    normalized = _normalize(raw)
     blob = json.dumps(normalized, sort_keys=True,
                       separators=(",", ":")).encode()
     return ProblemSpec(
         domain=domain, grid=grid, problem=problem, levy=levy,
         eps_schedule=tuple(float(e) for e in arr),
-        solver_options=solver_options,
+        solver_options=SolverOptions(**normalized["solver"]),
         q=float(q_val) if q_val is not None else None,
         sde=dict(sde), normalized=normalized,
         config_hash=hashlib.sha256(blob).hexdigest()[:16],

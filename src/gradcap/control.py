@@ -21,11 +21,13 @@ holds at most `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` paths and draws
 its normals `_NORMALS_BUDGET // (n * d)` steps at a time.  A batch steps
 until its slowest path exits, so fewer, fuller batches pay the per-step
 Python overhead fewer times.  Per-path seeds keep every estimate
-independent of the batching.
+independent of the batching.  A batch's normals sit in a memory mapping of
+their own that is returned when the batch ends.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,20 @@ _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 _NORMALS_BUDGET = 2**21
 # fewest steps one refill covers, so the per-path refill loop stays rare
 _MIN_CHUNK_STEPS = 256
+
+
+def _mapped_empty(shape):
+    """Zero-filled float array in an anonymous mapping of its own.
+
+    The mapping goes back to the system when the array is freed.  A batch's
+    normals buffer from the heap could instead stay resident after the batch
+    ends, and whether the next batch reuses it or lays a second one beside
+    it depends on what the steps in between left on the heap, so the peak
+    memory of a run would differ from one sample to the next by a buffer.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, count * np.dtype(float).itemsize)
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
 
 
 @dataclass
@@ -137,6 +153,9 @@ class ConstantRate:
 
     eps identifies the penalized class the control belongs to; the push
     pays the conjugate penalty of that class on top of the running cost.
+    A constant rate's price depends on g alone, so `act` prices the
+    distinct g values of a step and reuses them while the next step meets
+    the same set, as it does at every step when g is constant.
     """
 
     n: tuple
@@ -153,17 +172,21 @@ class ConstantRate:
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
         self._pf = PenaltyFn(self.eps)
+        self._g_priced = self._prices = None
 
     def act(self, X, t, g_cost):
         rate = np.full(X.shape[0], float(self.rate))
         n = np.broadcast_to(np.array(self.n), X.shape)
-        if self.rate > 0:
-            effort = self._pf.legendre_batch(
-                np.asarray(g_cost(X), dtype=float), rate, fast=True)
-        else:
+        if self.rate == 0:
             # zero effort costs exactly zero
-            effort = np.zeros(X.shape[0])
-        return rate, n, effort
+            return rate, n, np.zeros(X.shape[0])
+        g_vals, where = np.unique(np.asarray(g_cost(X), dtype=float),
+                                  return_inverse=True)
+        if not np.array_equal(g_vals, self._g_priced):
+            self._g_priced = g_vals
+            self._prices = self._pf.legendre_batch(
+                g_vals, np.full(g_vals.size, float(self.rate)))
+        return rate, n, self._prices[where]
 
 
 class PenalizedFeedback:
@@ -175,7 +198,9 @@ class PenalizedFeedback:
     price are tabulated at the lattice nodes once, as the columns of one
     node table, and each step interpolates all of them from one stencil, so
     the running cost stays consistent with the simulated push to the same
-    interpolation order as the policy itself.
+    interpolation order as the policy itself.  The conjugate penalty at
+    this rate is attained at m = |grad u| (Fenchel-Young equality), so the
+    price column is rate |grad u| - psi(|grad u|^2 - g^2) with no search.
     """
 
     pushes = ()
@@ -189,7 +214,7 @@ class PenalizedFeedback:
         norm = np.linalg.norm(grad_nodes, axis=1)
         g_nodes = np.asarray(g_fn(grid.points()), dtype=float)
         rate_nodes = 2.0 * pf.psi_prime(norm**2 - g_nodes**2) * norm
-        price_nodes = pf.legendre_batch(g_nodes, rate_nodes)
+        price_nodes = rate_nodes * norm - pf.psi(norm**2 - g_nodes**2)
         # columns [du/dx_1 .. du/dx_d, rate, price], one row per lattice node
         self.table = np.column_stack([grad_nodes, rate_nodes, price_nodes])
 
@@ -356,7 +381,7 @@ def _simulate_batch(params, seeds, x0, control, record=False):
 
     chunk_steps = min(max(_NORMALS_BUDGET // (n * d), _MIN_CHUNK_STEPS),
                       n_steps)
-    normals = np.empty((n, chunk_steps, d))
+    normals = _mapped_empty((n, chunk_steps, d))
     for i, rng in enumerate(rngs):
         normals[i] = rng.standard_normal(normals.shape[1:])
     chunk_base = 0

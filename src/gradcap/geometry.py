@@ -16,8 +16,7 @@ import numpy as np
 from .errors import GridMismatch, SpacingTooCoarse
 
 INTERIOR = 0
-BOUNDARY = 1
-EXTERIOR = 2
+EXTERIOR = 1
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -65,15 +64,6 @@ class Box:
         lo, hi = self.bounding_box()
         return np.all(pts > lo, axis=-1) & np.all(pts < hi, axis=-1)
 
-    def distance_to_boundary(self, x):
-        """Euclidean distance from x to the boundary of the closed box."""
-        x = _as_vector(x, self.dim)
-        lo, hi = self.bounding_box()
-        if self.contains(x):
-            return float(np.min(np.minimum(x - lo, hi - x)))
-        outside = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        return float(np.linalg.norm(outside))
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -108,10 +98,6 @@ class Ball:
         r = np.linalg.norm(pts - np.array(self.center), axis=-1)
         return r < self.radius
 
-    def distance_to_boundary(self, x):
-        x = _as_vector(x, self.dim)
-        return float(abs(np.linalg.norm(x - self.center) - self.radius))
-
 
 def classify_point(domain, x):
     """Inside iff x belongs to the open set O; boundary points are Outside."""
@@ -121,9 +107,8 @@ def classify_point(domain, x):
 class Grid:
     """Uniform lattice over the bounding box of a domain, with node classes.
 
-    Interior nodes lie strictly inside O; Boundary nodes are the remaining
-    nodes within one spacing of the boundary and are pinned to value 0, like
-    every Exterior node.  Node indexing is row-major over the lattice shape.
+    Interior nodes lie strictly inside O; every other node is Exterior and
+    pinned to value 0.  Node indexing is row-major over the lattice shape.
     """
 
     def __init__(self, domain, h):
@@ -142,10 +127,6 @@ class Grid:
         inside = domain.contains_batch(pts)
         classes = np.full(pts.shape[0], EXTERIOR, dtype=np.int8)
         classes[inside] = INTERIOR
-        near = np.array([domain.distance_to_boundary(p) <= self.h + 1e-12
-                         for p in pts[~inside]])
-        outside_idx = np.flatnonzero(~inside)
-        classes[outside_idx[near]] = BOUNDARY
         self.classes = classes.reshape(self.shape)
 
         self.interior_flat = np.flatnonzero(classes == INTERIOR)

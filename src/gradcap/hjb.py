@@ -89,9 +89,8 @@ def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
     """Solve at eps from `warm`, retrying a failing continuation step
     through intermediate eps; returns the report and the Newton iterations
     of every solve that succeeded on the way."""
-    nidd_opts = SolverOptions(**{**opts.nidd.__dict__, "initial": warm})
     try:
-        rep = solve_nidd(problem, eps, nidd_opts)
+        rep = solve_nidd(problem, eps, opts.nidd, warm)
         return rep, rep.iterations
     except MaxIterationsExceeded:
         if depth >= _MAX_SUBSTEPS or eps_prev is None:

@@ -218,8 +218,9 @@ class JumpDensity:
     """State-dependent thinning factor s(x, z) in [0, 1].
 
     `fn` is vectorized: fn(X, z) takes X of shape (n, d) and one offset z,
-    returning n values.  `lipschitz_bound` is a declared constant in x,
-    spot-checked at configuration load.
+    returning n values.  `lipschitz_bound` records the declared Lipschitz
+    constant in x (the config's `lipschitz`); nothing checks it against
+    `fn` and no computation reads it.
     """
 
     fn: object

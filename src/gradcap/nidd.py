@@ -35,7 +35,6 @@ class SolverOptions:
     tol_update_factor: float = 1e-8
     tol_res_factor: float = 1e-6
     max_iter: int = 500
-    initial: object = None  # warm start SolutionField
 
 
 @dataclass
@@ -150,13 +149,14 @@ _STOP_MESSAGES = {
 }
 
 
-def solve_nidd(problem, eps, opts=None):
+def solve_nidd(problem, eps, opts=None, initial=None):
     """Solve the penalized problem at one eps; returns a NiddReport.
 
-    Levenberg-damped Newton with a non-monotone line search.  The penalty
-    curvature near the free-boundary rim makes a strictly monotone search
-    zigzag, so a step passes if it stays below the recent merit window,
-    and the best iterate seen is what the solver returns.
+    Levenberg-damped Newton with a non-monotone line search, started from
+    the SolutionField `initial` (a warm start) when given, else from zero.
+    The penalty curvature near the free-boundary rim makes a strictly
+    monotone search zigzag, so a step passes if it stays below the recent
+    merit window, and the best iterate seen is what the solver returns.
     """
     opts = opts or SolverOptions()
     if not 0.0 < eps < 1.0:
@@ -175,11 +175,10 @@ def solve_nidd(problem, eps, opts=None):
     v_lin = solve_linear_dirichlet(mat, h_int)
     bound_c1 = float(np.max(v_lin.values)) if h_scale > 0 else 0.0
 
-    if opts.initial is not None:
-        if opts.initial.grid is not grid \
-                and not opts.initial.grid.same_as(grid):
+    if initial is not None:
+        if initial.grid is not grid and not initial.grid.same_as(grid):
             raise GridMismatch("warm start lives on a different grid")
-        u = opts.initial.interior_vector()
+        u = initial.interior_vector()
     else:
         u = np.zeros(grid.n_interior)
 

@@ -5,6 +5,13 @@ fixed C-infinity smooth-step profile eta: H(y) = 0 for y <= 0, H(y) = y - 1
 for y >= 2, and a strictly convex blend in between.  Writing the whole family
 through one profile makes psi_eps automatically non-increasing in eps at
 every r >= 0, which the eps-continuation relies on.
+
+H is one PCHIP interpolant of a fine Simpson table; psi, its derivatives and
+the conjugate all read it.  The conjugate penalty
+l_eps(g, rate) = sup_{m >= 0} {m rate - psi(m^2 - g^2)} is found by golden
+section.  Callers that know the maximizer skip the search: at the feedback
+rate 2 psi'(p^2 - g^2) p of a gradient norm p the supremum is attained at
+m = p (the Fenchel-Young equality), so l_eps = rate p - psi(p^2 - g^2).
 """
 
 from __future__ import annotations
@@ -55,23 +62,6 @@ def _build_cumulative():
 
 
 _H = _build_cumulative()
-
-# dense uniform table + linear interpolation for the Monte Carlo hot path;
-# resolution 2/2^17 keeps the value error below 1e-10
-_H_FAST_Y = np.linspace(0.0, 2.0, 2**17 + 1)
-_H_FAST_V = _H(_H_FAST_Y)
-
-
-def _psi_fast(eps, r):
-    """Linear-table variant of psi for vectorized inner loops."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    lin = r >= 2.0 * eps
-    out[lin] = (r[lin] - eps) / eps
-    mid = (r > 0.0) & ~lin
-    out[mid] = np.interp(r[mid] / eps, _H_FAST_Y, _H_FAST_V)
-    return out
-
 
 @dataclass(frozen=True)
 class PenaltyFn:
@@ -125,11 +115,12 @@ class PenaltyFn:
         val = self.legendre_batch(np.array([g_at_x]), np.array([eta_norm]))
         return float(val[0])
 
-    def legendre_batch(self, g_arr, eta_arr, fast=False):
+    def legendre_batch(self, g_arr, eta_arr):
         """Vectorized legendre over matching arrays of g(x) and |eta|.
 
-        fast=True swaps the cumulative-profile evaluation for a dense
-        linear table (value error ~1e-10), which the path integrator uses.
+        Each element's bracket shrinks by the same iteration count, set by
+        the largest bracket of the batch, so an element's value depends
+        only on its own (g, eta) and on that count.
         """
         g = np.asarray(g_arr, dtype=float)
         eta = np.asarray(eta_arr, dtype=float)
@@ -137,10 +128,9 @@ class PenaltyFn:
             raise ValueError("legendre requires g >= 0 and eta_norm >= 0")
         hi = g + eta * self.eps / 2.0 + np.sqrt(self.eps * (eta * self.eps + 1.0)) + 1.0
         lo = np.zeros_like(hi)
-        psi_eval = (lambda r: _psi_fast(self.eps, r)) if fast else self.psi
 
         def objective(m):
-            return m * eta - psi_eval(m * m - g * g)
+            return m * eta - self.psi(m * m - g * g)
 
         span = float(np.max(hi))
         n_iter = max(1, int(np.ceil(np.log(span / 1e-8) / np.log(1.0 / _GOLDEN))))

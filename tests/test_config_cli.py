@@ -35,6 +35,20 @@ def test_round_trip(config_paths):
         assert again.config_hash == spec.config_hash
 
 
+def test_settings_default_from_the_normalized_config():
+    from gradcap.nidd import SolverOptions
+    spec = build_spec(base_config())
+    assert spec.solver_options == SolverOptions()
+    assert spec.normalized["quadrature"] == {"delta": 1e-3, "r": 2.0,
+                                             "n_per_decade": 16}
+    spec = build_spec(base_config(solver={"max_iter": 7}))
+    assert spec.solver_options == SolverOptions(max_iter=7)
+    for section in ("quadrature", "solver", "sde"):
+        with pytest.raises(ValidationError) as err:
+            build_spec(base_config(**{section: [1.0]}))
+        assert err.value.field_path == section
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValidationError) as err:
         build_spec(base_config(bogus=1))
@@ -211,9 +225,7 @@ def test_csv_float_precision_lossless(tmp_path):
     spec = load_config(cfg)
     fld = read_field_csv(out, spec)
     from gradcap.nidd import solve_nidd
-    from gradcap.nidd import SolverOptions
-    rep = solve_nidd(spec.problem, 0.1,
-                     SolverOptions(**{**spec.solver_options.__dict__}))
+    rep = solve_nidd(spec.problem, 0.1, spec.solver_options)
     assert np.array_equal(fld.values, rep.solution.values)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gradcap.geometry import Ball, Box, SolutionField, build_grid
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
 from gradcap.nidd import SolverOptions, solve_nidd
 from gradcap.operators import Coefficients, _vectorize_scalar
+from gradcap.penalty import PenaltyFn
 from gradcap.problem import Problem
 from gradcap import control as ctl
 
@@ -292,6 +295,92 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
     assert full.max_rate_observed > 0
     assert (split.mean, split.stderr, split.max_rate_observed) == \
         (full.mean, full.stderr, full.max_rate_observed)
+
+
+def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
+    made = []
+
+    def recording(shape):
+        arr = mapped_empty(shape)
+        base = arr.base
+        while not isinstance(base, mmap.mmap):
+            base = base.obj if isinstance(base, memoryview) else base.base
+        made.append(weakref.ref(base))
+        return arr
+
+    mapped_empty = ctl._mapped_empty
+    monkeypatch.setattr(ctl, "_mapped_empty", recording)
+    # 40 paths in batches of at most 16
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    ctl._estimate(flat_params(t_max=1.0), np.array([0.0]), 40, 3,
+                  ctl.NullControl())
+    assert len(made) == 3
+    # every batch's mapping is gone once its batch returns
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+@pytest.mark.parametrize("make", [make_control_problem,
+                                  make_control_problem_2d])
+def test_feedback_price_is_the_conjugate_penalty(make, eps):
+    # the price column, rate |Du| - psi(|Du|^2 - g^2), is the supremum the
+    # golden section finds, in the off, blend and linear zones of psi
+    prob, _ = make()
+    grid = prob.grid
+    X = grid.interior_points()
+    u = SolutionField.from_interior_vector(
+        grid, 2.0 * (1.0 - np.sum(X**2, axis=1)))
+
+    def g_fn(P):
+        return 0.4 + 0.3 * P[:, 0] ** 2
+
+    policy = ctl.PenalizedFeedback(u, eps, g_fn)
+    d = grid.dim
+    norm = np.linalg.norm(policy.table[:, :d], axis=1)
+    g_nodes = g_fn(grid.points())
+    arg = norm**2 - g_nodes**2
+    assert np.any(arg <= 0) and np.any((arg > 0) & (arg < 2 * eps)) \
+        and np.any(arg >= 2 * eps)
+    rate, price = policy.table[:, d], policy.table[:, d + 1]
+    ref = PenaltyFn(eps).legendre_batch(g_nodes, rate)
+    assert np.all(np.abs(price - ref) <= 1e-12 * (1.0 + np.abs(price)))
+
+
+def test_constant_rate_prices_each_distinct_g():
+    # g takes a few values over 2D states; the effort is the per-state
+    # conjugate penalty exactly, also when the next call meets a new set
+    cr = ctl.ConstantRate(n=(1.0, 0.0), rate=0.7, eps=0.1)
+
+    def g_fn(P):
+        return 0.3 + 0.2 * np.round(4.0 * np.abs(P[:, 0])) / 4.0
+
+    rng = np.random.default_rng(8)
+    for radius in (1.0, 1.0, 0.4):
+        X = rng.uniform(-radius, radius, size=(500, 2))
+        rate, n, effort = cr.act(X, 0.0, g_fn)
+        assert np.array_equal(rate, np.full(500, 0.7))
+        assert np.array_equal(n, np.broadcast_to([1.0, 0.0], X.shape))
+        ref = PenaltyFn(0.1).legendre_batch(g_fn(X), rate)
+        assert np.array_equal(effort, ref)
+
+
+def test_constant_rate_with_constant_g_is_priced_once(monkeypatch):
+    calls = []
+    batch = PenaltyFn.legendre_batch
+
+    def counting(self, g_arr, eta_arr):
+        calls.append(np.size(g_arr))
+        return batch(self, g_arr, eta_arr)
+
+    monkeypatch.setattr(PenaltyFn, "legendre_batch", counting)
+    par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
+                      sigma=lambda X: np.full((X.shape[0], 1, 1), 0.3),
+                      t_max=0.5)
+    est = ctl.estimate_penalized_value(
+        par, ctl.ConstantRate(n=(1.0,), rate=0.5, eps=0.1),
+        np.array([0.0]), 16, 3)
+    assert est.n_paths == 16
+    assert calls == [1]
 
 
 def test_constant_rate_validates_at_construction():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcap.errors import SpacingTooCoarse
-from gradcap.geometry import (BOUNDARY, EXTERIOR, INSIDE, INTERIOR, OUTSIDE,
-                              Ball, Box, SolutionField, build_grid,
-                              classify_point, field_value_extended)
+from gradcap.geometry import (EXTERIOR, INSIDE, INTERIOR, OUTSIDE, Ball, Box,
+                              SolutionField, build_grid, classify_point,
+                              field_value_extended)
 
 
 def test_box_lattice_and_interior():
@@ -41,10 +41,11 @@ def test_partition_property():
                    (Ball(center=(0.0, 0.0), radius=1.0), 0.25)]:
         g = build_grid(dom, h)
         cls = g.classes.ravel()
-        assert set(np.unique(cls)) <= {INTERIOR, BOUNDARY, EXTERIOR}
-        n = (cls == INTERIOR).sum() + (cls == BOUNDARY).sum() \
-            + (cls == EXTERIOR).sum()
+        assert set(np.unique(cls)) <= {INTERIOR, EXTERIOR}
+        n = (cls == INTERIOR).sum() + (cls == EXTERIOR).sum()
         assert n == cls.size
+        assert np.array_equal(cls == INTERIOR,
+                              dom.contains_batch(g.points()))
 
 
 def test_zero_extension_exact():

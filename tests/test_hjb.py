@@ -124,8 +124,8 @@ def test_failing_step_is_substepped_and_counted_once(monkeypatch):
     from gradcap.nidd import SolverOptions, solve_nidd
     solved = []
 
-    def recording(problem, eps, opts):
-        rep = solve_nidd(problem, eps, opts)
+    def recording(problem, eps, opts, initial):
+        rep = solve_nidd(problem, eps, opts, initial)
         solved.append((eps, rep.iterations))
         return rep
 

@@ -215,7 +215,7 @@ def test_comparison_shifted_solution_not_applicable():
 def test_warm_start_from_fixed_point_is_immediate():
     prob = make_problem_1d(h_grid=1 / 64, h=10.0, g=0.5)
     cold = solve_nidd(prob, 0.05)
-    warm = solve_nidd(prob, 0.05, SolverOptions(initial=cold.solution))
+    warm = solve_nidd(prob, 0.05, initial=cold.solution)
     assert warm.iterations <= 3
     assert np.max(np.abs(warm.solution.values - cold.solution.values)) <= 1e-8
 
