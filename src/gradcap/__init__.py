@@ -4,8 +4,9 @@ verification of the computed value function."""
 from .config import ProblemSpec, build_spec, emit, load_config
 from .control import (ConstantRate, CostEstimate, NullControl,
                       PenalizedFeedback, SdeParams, SingularControlSpec,
-                      estimate_penalized_value, estimate_singular_value,
-                      sde_from_problem, simulate_path, verify_value_equality)
+                      estimate_jobs, estimate_penalized_value,
+                      estimate_singular_value, sde_from_problem,
+                      simulate_path, verify_value_equality)
 from .geometry import (Ball, Box, Grid, SolutionField, build_grid,
                        classify_point, field_value_extended)
 from .hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, HjbReport, hjb_residual,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,31 @@ def _expect_keys(d, path, required, optional=()):
     for key in required:
         if key not in d:
             raise ValidationError(f"{path}.{key}", "missing required key")
+
+
+def _positive_number(value, field_path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < math.inf:
+        raise ValidationError(field_path,
+                              f"expected a positive finite number, got "
+                              f"{value!r}")
+
+
+def _check_settings(solver, sde):
+    """Types and ranges of the solver and sde settings."""
+    for key, value in solver.items():
+        if key == "max_iter":
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValidationError("solver.max_iter",
+                                      f"expected a positive integer, got "
+                                      f"{value!r}")
+        else:
+            _positive_number(value, f"solver.{key}")
+    for key, value in sde.items():
+        # a null horizon means the default, 14 / q
+        if not (key == "t_max" and value is None):
+            _positive_number(value, f"sde.{key}")
 
 
 def _parse_domain(d):
@@ -350,6 +376,7 @@ def build_spec(raw):
                  ("tol_update_factor", "tol_res_factor", "max_iter"))
     sde = raw.get("sde", {})
     _expect_keys(sde, "sde", (), ("dt", "t_max", "jump_truncation"))
+    _check_settings(raw.get("solver", {}), sde)
     normalized = _normalize(raw)
 
     qd = normalized["quadrature"]

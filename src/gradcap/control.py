@@ -9,26 +9,31 @@ process as it stands.  Paths stop at the first state outside the open
 domain or at the horizon cap; the discount makes the cap bias negligible.
 
 Every control answers one question per step, `act(X, t, g_cost) ->
-(rate, direction, effort)`, and lists its impulses in `pushes`; the step
-charges the running cost h plus `effort`.  Cost conventions: absolutely
+(rate, direction, effort)` with t the clocks of the rows of X, and lists
+its impulses in `pushes`; the step charges the running cost h plus
+`effort`.  Cost conventions: absolutely
 continuous policies price their push rate by the conjugate penalty;
 singular test controls pay the constraint weight g times their rate, and
 g along each impulse segment (Gauss-Legendre along the straight
 displacement).
 
-Paths run in batches that one budget of standard normals sizes: a batch
-holds at most `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` paths and draws
-its normals `_NORMALS_BUDGET // (n * d)` steps at a time.  A batch steps
-until its slowest path exits, so fewer, fuller batches pay the per-step
-Python overhead fewer times.  Per-path seeds keep every estimate
-independent of the batching.  A batch's normals sit in a memory mapping of
-their own that is returned when the batch ends.
+All paths of a check, whatever their control or start point, run in one
+pool of slots that one budget of standard normals sizes: about
+`_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots, each drawing its
+normals `_NORMALS_BUDGET // (slots * d)` steps at a time.  A path carries
+its own step counter and clock, and the slot it leaves on exit takes the
+next queued path of the same control, so a check pays the per-step Python
+overhead of one horizon tail, not one per estimate.  Per-path seeds keep
+every estimate independent of the pooling.  The pool's normals sit in a
+memory mapping of their own that is returned when the pool ends.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,8 +47,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL01_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
-# standard normals one batch may hold at once (16 MB); a batch's path count
-# and its refill width both follow from it
+# standard normals the pool may hold at once (16 MB); its slot count and
+# its refill width both follow from it
 _NORMALS_BUDGET = 2**21
 # fewest steps one refill covers, so the per-path refill loop stays rare
 _MIN_CHUNK_STEPS = 256
@@ -52,11 +57,11 @@ _MIN_CHUNK_STEPS = 256
 def _mapped_empty(shape):
     """Zero-filled float array in an anonymous mapping of its own.
 
-    The mapping goes back to the system when the array is freed.  A batch's
-    normals buffer from the heap could instead stay resident after the batch
-    ends, and whether the next batch reuses it or lays a second one beside
-    it depends on what the steps in between left on the heap, so the peak
-    memory of a run would differ from one sample to the next by a buffer.
+    The mapping goes back to the system when the array is freed.  A pool's
+    normals buffer from the heap could instead stay resident after the pool
+    ends, and whether the next pool reuses it or lays a second one beside
+    it depends on what ran in between left on the heap, so the peak memory
+    of a run would differ from one sample to the next by a buffer.
     """
     count = int(np.prod(shape))
     buf = mmap.mmap(-1, count * np.dtype(float).itemsize)
@@ -288,15 +293,18 @@ class Path:
 class SingularControlSpec:
     """Open-loop test control: continuous rate plus optional pushes.
 
-    rate may be a float or a callable of time; pushes are (time, direction,
-    size) triples applied at the containing step with the exact push time in
-    the discount factor.  Push sizes must be nonnegative (the cumulative
-    intensity is nondecreasing).
+    rate may be a float or a callable of time (see `rate_at`); pushes are
+    (time, direction, size) triples applied at the containing step with the
+    exact push time in the discount factor.  Push sizes must be
+    nonnegative (the cumulative intensity is nondecreasing).
     """
 
     n: tuple = (1.0,)
     rate: object = 0.0
     pushes: tuple = ()
+    # clock values a callable rate was evaluated at, sorted, and its rates
+    _known: tuple = field(default=(np.empty(0), np.empty(0)), init=False,
+                          repr=False, compare=False)
 
     def __post_init__(self):
         for t, _, dz in self.pushes:
@@ -306,11 +314,39 @@ class SingularControlSpec:
                 raise ValueError("push times must be positive")
 
     def rate_at(self, t):
-        return float(self.rate(t)) if callable(self.rate) else float(self.rate)
+        """Push rate at each clock value of t (a number or an array).
+
+        A callable rate is a function of time: it is called with a float,
+        so it need not be vectorized, and once per clock value over the
+        life of the spec.  The pool's clocks are k dt for the step counts
+        k its paths have reached, so each step meets at most one new value.
+        """
+        t = np.asarray(t, dtype=float)
+        if not callable(self.rate):
+            return np.full(t.shape, float(self.rate))
+        flat = t.ravel()
+        clocks, rates = self._known
+        at = np.searchsorted(clocks, flat)
+        seen = at < clocks.size
+        seen[seen] = clocks[at[seen]] == flat[seen]
+        if not seen.all():
+            new = np.unique(flat[~seen])
+            clocks = np.concatenate((clocks, new))
+            rates = np.concatenate(
+                (rates, [float(self.rate(float(c))) for c in new]))
+            order = np.argsort(clocks)
+            clocks, rates = clocks[order], rates[order]
+            self._known = (clocks, rates)
+            at = np.searchsorted(clocks, flat)
+        return rates[at].reshape(t.shape)
 
     def act(self, X, t, g_cost):
-        rate = np.full(X.shape[0], self.rate_at(t))
         n = np.broadcast_to(np.asarray(self.n, dtype=float), X.shape)
+        if not callable(self.rate) and self.rate == 0:
+            # zero effort costs exactly zero
+            zero = np.zeros(X.shape[0])
+            return zero, n, zero
+        rate = self.rate_at(t)
         return rate, n, np.asarray(g_cost(X), dtype=float) * rate
 
 
@@ -321,152 +357,225 @@ def _path_jumps(params, seed_rng):
                         seed_rng)
 
 
-def _simulate_batch(params, seeds, x0, control, record=False):
-    """Advance one batch of paths to exit or horizon.
+def _simulate_pool(params, jobs, record=False):
+    """Advance every path of every job to exit or horizon in one slot pool.
 
-    Returns the discounted costs, the final states (an exited path keeps
-    its first state outside the domain), the exit flags and times, and the
-    largest push rate seen.
+    `jobs` lists `(control, x0, n_paths, base_seed)`; path i of a job is
+    seeded `base_seed + i`.  Returns one dict per job: the discounted costs
+    and the final states in path order (an exited path keeps its first
+    state outside the domain), and the largest push rate its paths saw.
+    With `record`, the one path of the one job also returns its trajectory
+    as "path".
 
-    Every step asks the control for `act(X, t, g_cost)`, which returns the
-    push rate, its direction and the effort cost rate paid on top of the
-    running cost h; `control.pushes` lists the control's (time, direction,
-    size) impulses, paid along the push segment.
+    The pool has about `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots.
+    A slot holds one path: its generator, its step counter k (its clock is
+    k dt) and its row of standard normals.  When the path exits or reaches
+    the horizon, the slot takes the next queued path of the same control,
+    so the pool steps until the last path of all jobs is done.  The
+    controls share the slots in proportion to their paths, so each
+    control's live paths are one block and each step calls its `act` once
+    on a slice, with t the clocks of that block.  The step charges the
+    running cost h plus the returned effort, and pays each impulse of
+    `control.pushes` along its segment.
 
-    Each path owns one generator seeded with its entry of `seeds`; it
-    yields that path's jumps first and diffusion increments afterwards, so
-    per-path results do not depend on how paths are batched together.  The
-    increments are drawn in chunks of `_NORMALS_BUDGET // (n * d)` steps
-    (at least `_MIN_CHUNK_STEPS`), refilled only for live paths.
+    A path's generator is made when the path enters a slot and dropped
+    when it leaves.  It yields the path's jumps first and then its
+    increments, so no path's result depends on the others in the pool.
+    All live paths read the same column of their rows of normals at each
+    pool step: the rows are refilled together, `_NORMALS_BUDGET // (slots
+    * d)` steps at a time (at least `_MIN_CHUNK_STEPS`), when that column
+    wraps to 0, and a path that enters mid-row draws only the columns left.
     """
     d = params.domain.dim
-    n = len(seeds)
     dt = params.dt
+    q = params.q
     n_steps = int(np.ceil(params.t_max / dt))
     sqrt_dt = np.sqrt(dt)
 
-    push_list = sorted(control.pushes, key=lambda p: p[0])
-    push_times = [p[0] for p in push_list]
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    jump_step, jump_path, jump_size = [], [], []
-    for i, rng in enumerate(rngs):
+    # path p is path p - offsets[j] of job j; each distinct control queues
+    # the paths of its jobs (in any order: no path depends on another)
+    controls, impulses, queues, x0s, offsets = [], [], [], [], [0]
+    for control, x0, n_paths, _ in jobs:
+        if n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
+        x0s.append(np.asarray(x0, dtype=float))
+        if not params.domain.contains(x0s[-1]):
+            raise StartOutsideDomain(f"x0={x0s[-1]} is not inside the domain")
+        c = next((i for i, known in enumerate(controls) if known is control),
+                 len(controls))
+        if c == len(controls):
+            controls.append(control)
+            impulses += [(c, t_p, np.asarray(n_p, dtype=float)
+                          / np.linalg.norm(np.asarray(n_p, dtype=float)), dz)
+                         for t_p, n_p, dz
+                         in sorted(control.pushes, key=lambda p: p[0])]
+            queues.append([])
+        queues[c].extend(range(offsets[-1], offsets[-1] + n_paths))
+        offsets.append(offsets[-1] + n_paths)
+    n_total = offsets[-1]
+    if not n_total:
+        return []
+
+    # outputs of every path p
+    cost_out = np.zeros(n_total)
+    final_out = np.empty((n_total, d))
+    rate_out = np.zeros(n_total)
+
+    # the discount at each step, computed as exp(-q t) with t = k dt
+    disc = np.array([np.exp(-q * (k * dt)) for k in range(n_steps)])
+    # each control's share of the slots follows its share of the paths
+    counts = np.array([len(queue) for queue in queues])
+    cap = _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)
+    share = counts if n_total <= cap \
+        else np.maximum(counts * cap // n_total, 1)
+    n_slots = int(share.sum())
+    chunk = min(max(_NORMALS_BUDGET // (n_slots * d), _MIN_CHUNK_STEPS),
+                n_steps)
+    normals = _mapped_empty((n_slots, chunk, d))
+    rngs = [None] * n_slots
+    held = np.full(n_slots, -1)     # the path in each slot, -1 if none
+    due = {}                        # pool step -> (slot, path, jump size)
+
+    # live paths in control blocks (`bounds`), slots ascending within the
+    # pool: slot, step counter, state, discounted cost and largest rate
+    live = [int(n) for n in share]
+    bounds = [0, *accumulate(live)]
+    slot = np.arange(n_slots)
+    k = np.zeros(n_slots, dtype=int)
+    x = np.empty((n_slots, d))
+    cost = np.zeros(n_slots)
+    rmax = np.zeros(n_slots)
+
+    def enter(e, c, it):
+        """Start the next queued path of control c in entry e at pool
+        step it."""
+        s, p = slot[e], queues[c].pop()
+        j = bisect_right(offsets, p) - 1
+        rng = np.random.default_rng(int(jobs[j][3] + p - offsets[j]))
+        push_times = [t_p for c_p, t_p, _, _ in impulses if c_p == c]
         for t_j, z in _path_jumps(params, rng):
             if t_j in push_times:
                 raise PushOutsideAdmissible(
                     f"push requested at jump time t={t_j}")
             # a jump in (k dt, (k+1) dt] lands at the end of step k
-            k_j = min(int(np.ceil(t_j / dt)) - 1, n_steps - 1)
-            jump_step.append(max(k_j, 0))
-            jump_path.append(i)
-            jump_size.append(z)
-    if jump_step:
-        order = np.lexsort((np.arange(len(jump_step)), jump_step))
-        jump_step = np.asarray(jump_step)[order]
-        jump_path = np.asarray(jump_path)[order]
-        jump_size = np.asarray(jump_size)[order]
-    else:
-        jump_step = np.zeros(0, dtype=int)
-        jump_path = np.zeros(0, dtype=int)
-        jump_size = np.zeros((0, d))
-    jump_ptr = 0
+            step = it + max(min(int(np.ceil(t_j / dt)) - 1, n_steps - 1), 0)
+            due.setdefault(step, []).append((s, p, z))
+        # normals for the pool steps up to the next refill of all slots
+        if it % chunk:
+            rng.standard_normal(out=normals[s, it % chunk:])
+        rngs[s], held[s] = rng, p
+        k[e], x[e] = 0, x0s[j]
+        cost[e] = rmax[e] = 0.0
 
-    x0 = np.asarray(x0, dtype=float)
-    if not params.domain.contains(x0):
-        raise StartOutsideDomain(f"x0={x0} is not inside the domain")
-    x = np.tile(x0, (n, 1))
-    cost = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    exit_times = np.full(n, params.t_max)
-    max_rate = 0.0
-
-    chunk_steps = min(max(_NORMALS_BUDGET // (n * d), _MIN_CHUNK_STEPS),
-                      n_steps)
-    normals = _mapped_empty((n, chunk_steps, d))
-    for i, rng in enumerate(rngs):
-        normals[i] = rng.standard_normal(normals.shape[1:])
-    chunk_base = 0
-
+    for c in range(len(controls)):
+        for e in range(bounds[c], bounds[c + 1]):
+            enter(e, c, 0)
     traj_t, traj_x = ([0.0], [x[0].copy()]) if record else (None, None)
-
-    for k in range(n_steps):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
+    it = 0
+    while k.size:
+        col = it % chunk
+        if col == 0:
+            for s in slot:
+                rngs[s].standard_normal(out=normals[s])
         t = k * dt
-        if k - chunk_base >= chunk_steps:
-            chunk_base = k
-            width = min(chunk_steps, n_steps - k)
-            for i in idx:
-                normals[i, :width] = rngs[i].standard_normal((width, d))
-        xa = x[idx]
 
-        # running cost plus control effort at the left endpoint
-        rate, n_dir, effort = control.act(xa, t, params.g_cost)
-        max_rate = max(max_rate, float(np.max(rate)))
-        run = np.asarray(params.h_cost(xa), dtype=float) + effort
-        cost[idx] += np.exp(-params.q * t) * run * dt
+        # running cost plus control effort at the left endpoint, one `act`
+        # call on each control's block
+        rate, n_dir, effort = np.empty(k.size), np.empty_like(x), \
+            np.empty(k.size)
+        for control, a, b in zip(controls, bounds[:-1], bounds[1:]):
+            if b > a:
+                rate[a:b], n_dir[a:b], effort[a:b] = control.act(
+                    x[a:b], t[a:b], params.g_cost)
+        np.maximum(rmax, rate, out=rmax)
+        run = np.asarray(params.h_cost(x), dtype=float) + effort
+        cost += disc[k] * run * dt
 
         # Euler step: drift (including the control push) plus diffusion
-        drift = np.asarray(params.drift(xa), dtype=float) \
+        drift = np.asarray(params.drift(x), dtype=float) \
             + n_dir * rate[:, None]
-        sig = np.asarray(params.sigma(xa), dtype=float)
-        xi = normals[idx, k - chunk_base]
-        x[idx] = xa - drift * dt \
-            + np.einsum("nij,nj->ni", sig, xi) * sqrt_dt
+        sig = np.asarray(params.sigma(x), dtype=float)
+        x = x - drift * dt \
+            + np.einsum("nij,nj->ni", sig, normals[slot, col]) * sqrt_dt
 
-        # jumps scheduled in (t, t+dt], applied at step end as own events
-        t_next = (k + 1) * dt
-        while jump_ptr < jump_step.size and jump_step[jump_ptr] == k:
-            p = jump_path[jump_ptr]
-            if alive[p]:
-                x[p] = x[p] + jump_size[jump_ptr]
-            jump_ptr += 1
+        # jumps scheduled in (t, t+dt], applied at step end as own events,
+        # for the paths still in their slots
+        for s, p, z in due.pop(it, ()):
+            if held[s] == p:
+                e = np.searchsorted(slot, s)
+                x[e] = x[e] + z
 
         # impulses scheduled in this step (never at a jump time)
-        for t_push, n_push, dz in push_list:
-            if t < t_push <= t_next:
-                n_push = np.asarray(n_push, dtype=float)
-                n_push = n_push / np.linalg.norm(n_push)
-                xa2 = x[idx]
-                seg = xa2[:, None, :] \
-                    - _GL01_NODES[None, :, None] * (dz * n_push)[None, None, :]
-                g_seg = np.asarray(
-                    params.g_cost(seg.reshape(-1, d)), dtype=float
-                ).reshape(xa2.shape[0], -1)
-                line = g_seg @ _GL01_WEIGHTS
-                cost[idx] += np.exp(-params.q * t_push) * dz * line
-                x[idx] = xa2 - dz * n_push[None, :]
+        for c, t_push, n_push, dz in impulses:
+            a, b = bounds[c], bounds[c + 1]
+            hit = a + np.flatnonzero((t[a:b] < t_push)
+                                     & (t_push <= (k[a:b] + 1) * dt))
+            if not hit.size:
+                continue
+            xa = x[hit]
+            seg = xa[:, None, :] \
+                - _GL01_NODES[None, :, None] * (dz * n_push)[None, None, :]
+            g_seg = np.asarray(
+                params.g_cost(seg.reshape(-1, d)), dtype=float
+            ).reshape(xa.shape[0], -1)
+            line = g_seg @ _GL01_WEIGHTS
+            cost[hit] += np.exp(-q * t_push) * dz * line
+            x[hit] = xa - dz * n_push[None, :]
 
-        inside = params.domain.contains_batch(x[idx])
-        gone = idx[~inside]
-        if gone.size:
-            alive[gone] = False
-            exit_times[gone] = t_next
+        inside = params.domain.contains_batch(x)
+        k += 1
         if record:
-            traj_t.append(t_next)
+            traj_t.append(k[0] * dt)
             traj_x.append(x[0].copy())
-            if not alive[0]:
-                break
+        done = ~inside
+        if it + 1 >= n_steps:
+            done |= k == n_steps
+        it += 1
+        done = np.flatnonzero(done)
+        if not done.size:
+            continue
+        p = held[slot[done]]
+        cost_out[p] = cost[done]
+        final_out[p] = x.take(done, axis=0)
+        rate_out[p] = rmax[done]
+        vacant = []
+        for e in done:
+            s = slot[e]
+            rngs[s], held[s] = None, -1
+            c = bisect_right(bounds, e) - 1
+            if queues[c]:
+                enter(e, c, it)
+            else:
+                vacant.append(e)
+                live[c] -= 1
+        if vacant:
+            keep = np.ones(k.size, dtype=bool)
+            keep[vacant] = False
+            # take, not a mask: it copies the rows of x several times faster
+            kept = np.flatnonzero(keep)
+            slot, k, x, cost, rmax = (arr.take(kept, axis=0)
+                                      for arr in (slot, k, x, cost, rmax))
+            bounds = [0, *accumulate(live)]
 
-    result = {
-        "cost": cost,
-        "final": x,
-        "exited": ~alive,
-        "exit_times": exit_times,
-        "max_rate": max_rate,
-    }
+    results = [{
+        "cost": cost_out[lo:hi].copy(),
+        "final": final_out[lo:hi].copy(),
+        "max_rate": float(np.max(rate_out[lo:hi])),
+    } for lo, hi in zip(offsets[:-1], offsets[1:])]
     if record:
-        result["path"] = Path(times=np.array(traj_t),
-                              states=np.array(traj_x),
-                              exited=bool(~alive[0]),
-                              exit_time=float(exit_times[0]),
-                              cost=float(cost[0]))
-    return result
+        # the one path ended its last step outside, or at the horizon
+        exited = not inside[0]
+        results[0]["path"] = Path(
+            times=np.array(traj_t), states=np.array(traj_x), exited=exited,
+            exit_time=float(traj_t[-1] if exited else params.t_max),
+            cost=float(cost_out[0]))
+    return results
 
 
 def simulate_path(params, control, x0, seed):
     """Single trajectory under any control."""
-    return _simulate_batch(params, [seed], x0, control, record=True)["path"]
+    return _simulate_pool(params, [(control, x0, 1, seed)],
+                          record=True)[0]["path"]
 
 
 def _bias_bound(params):
@@ -476,23 +585,29 @@ def _bias_bound(params):
         params.levy, params.jump_truncation, params.t_max)
 
 
+def estimate_jobs(params, jobs):
+    """One CostEstimate per `(control, x0, n_paths, base_seed)` job.
+
+    Every path of every job runs in one pool (`_simulate_pool`), so the
+    jobs share one horizon tail; each estimate equals the one its job gets
+    alone, bit for bit.
+    """
+    bias = _bias_bound(params)
+    estimates = []
+    for (_, _, n_paths, base_seed), out in zip(
+            jobs, _simulate_pool(params, jobs)):
+        costs = out["cost"]
+        stderr = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) \
+            if n_paths > 1 else 0.0
+        estimates.append(CostEstimate(
+            mean=float(np.mean(costs)), stderr=stderr, n_paths=n_paths,
+            seed=int(base_seed), discarded_bias_bound=bias, dt=params.dt,
+            max_rate_observed=out["max_rate"]))
+    return estimates
+
+
 def _estimate(params, x0, n_paths, base_seed, control):
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    costs = np.empty(n_paths)
-    max_rate = 0.0
-    cap = _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * params.domain.dim)
-    for idx in np.array_split(np.arange(n_paths), -(-n_paths // cap)):
-        out = _simulate_batch(params, base_seed + idx, x0, control)
-        costs[idx] = out["cost"]
-        max_rate = max(max_rate, out["max_rate"])
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) \
-        if n_paths > 1 else 0.0
-    return CostEstimate(mean=mean, stderr=stderr, n_paths=n_paths,
-                        seed=int(base_seed),
-                        discarded_bias_bound=_bias_bound(params),
-                        dt=params.dt, max_rate_observed=max_rate)
+    return estimate_jobs(params, [(control, x0, n_paths, base_seed)])[0]
 
 
 def estimate_penalized_value(params, policy, x0, n_paths, base_seed):
@@ -542,9 +657,9 @@ def verify_value_equality(problem, fld, mode, x0_list, n_paths, base_seed,
             raise ValueError("penalized mode requires eps")
         policy = PenalizedFeedback(fld, eps, problem.coeffs.g)
         drift_sup = _drift_sup(params, policy, pts)
-        for x0 in x0_list:
-            est = estimate_penalized_value(params, policy, x0, n_paths,
-                                           base_seed)
+        ests = estimate_jobs(params, [(policy, x0, n_paths, base_seed)
+                                      for x0 in x0_list])
+        for x0, est in zip(x0_list, ests):
             ref = fld.value_extended(x0)
             tol = est.tolerance(drift_sup)
             entries.append({
@@ -559,21 +674,21 @@ def verify_value_equality(problem, fld, mode, x0_list, n_paths, base_seed,
         if not controls:
             raise ValueError("singular mode requires test controls")
         drift_sup = _drift_sup(params, None, pts)
-        for spec in controls:
-            extra = spec.rate_at(0.0) if not callable(spec.rate) else 0.0
-            for x0 in x0_list:
-                est = estimate_singular_value(params, spec, x0, n_paths,
-                                              base_seed)
-                ref = fld.value_extended(x0)
-                tol = est.tolerance(drift_sup + extra)
-                entries.append({
-                    "x0": list(np.atleast_1d(x0)),
-                    "control": repr(spec),
-                    "mc_mean": est.mean, "stderr": est.stderr,
-                    "field_value": ref, "tolerance": tol,
-                    "margin": est.mean - ref + tol,
-                    "pass": bool(est.mean >= ref - tol),
-                })
+        pairs = [(spec, x0) for spec in controls for x0 in x0_list]
+        ests = estimate_jobs(params, [(spec, x0, n_paths, base_seed)
+                                      for spec, x0 in pairs])
+        for (spec, x0), est in zip(pairs, ests):
+            extra = 0.0 if callable(spec.rate) else float(spec.rate)
+            ref = fld.value_extended(x0)
+            tol = est.tolerance(drift_sup + extra)
+            entries.append({
+                "x0": list(np.atleast_1d(x0)),
+                "control": repr(spec),
+                "mc_mean": est.mean, "stderr": est.stderr,
+                "field_value": ref, "tolerance": tol,
+                "margin": est.mean - ref + tol,
+                "pass": bool(est.mean >= ref - tol),
+            })
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return VerificationReport(entries=entries,

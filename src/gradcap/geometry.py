@@ -47,6 +47,9 @@ class Box:
             raise ValueError("box requires lo[i] < hi[i] on every axis")
         object.__setattr__(self, "lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in hi))
+        # the exit test reads the bounds as arrays at every Monte Carlo step
+        object.__setattr__(self, "_lo", np.array(self.lo))
+        object.__setattr__(self, "_hi", np.array(self.hi))
 
     @property
     def dim(self):
@@ -61,8 +64,8 @@ class Box:
 
     def contains_batch(self, pts):
         pts = np.asarray(pts, dtype=float)
-        lo, hi = self.bounding_box()
-        return np.all(pts > lo, axis=-1) & np.all(pts < hi, axis=-1)
+        return np.all(pts > self._lo, axis=-1) & np.all(pts < self._hi,
+                                                        axis=-1)
 
 
 @dataclass(frozen=True)

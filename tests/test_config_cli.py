@@ -190,6 +190,44 @@ def test_cli_bad_quadrature_exit_2(tmp_path, capsys, name, quad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, block, setting", [
+    ("solve-nidd", "solver", {"max_iter": "7"}),
+    ("simulate", "sde", {"dt": "0.001"}),
+    ("simulate", "sde", {"jump_truncation": -1}),
+])
+def test_cli_bad_setting_exit_2(tmp_path, capsys, command, block, setting):
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg.setdefault(block, {}).update(setting)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = {"solve-nidd": ["--eps", "0.1"],
+            "simulate": ["--policy", "null", "--x0", "0.0", "--paths", "20"]}
+    assert main([command, "--config", str(path), "--out", str(out)]
+                + args[command]) == 2
+    key = next(iter(setting))
+    assert f"config error: {block}.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("solver", "max_iter", True), ("solver", "max_iter", 0),
+    ("solver", "max_iter", 2.5), ("solver", "tol_res_factor", 0.0),
+    ("solver", "tol_update_factor", float("inf")),
+    ("sde", "t_max", float("nan")), ("sde", "dt", False),
+    ("sde", "dt", -1e-3), ("sde", "jump_truncation", None),
+])
+def test_bad_settings_rejected(block, key, value):
+    with pytest.raises(ValidationError, match=f"{block}.{key}"):
+        build_spec(base_config(**{block: {key: value}}))
+
+
+def test_null_horizon_means_the_default():
+    spec = build_spec(base_config(sde={"t_max": None}))
+    assert spec.sde["t_max"] is None
+
+
 def test_cli_solver_failure_exit_1_with_best_iterate(tmp_path):
     cfg = base_config(h=0.015625)
     cfg["coefficients"]["h"] = 10.0

@@ -79,8 +79,8 @@ def test_jump_mean_compensation():
     par = flat_params(levy=cp, jump_truncation=0.01, t_max=2.0,
                       drift=lambda X: np.ones_like(X),
                       h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
-    finals = ctl._simulate_batch(par, np.arange(400), np.array([0.0]),
-                                 ctl.NullControl())["final"][:, 0]
+    finals = ctl._simulate_pool(par, [(ctl.NullControl(), np.array([0.0]),
+                                       400, 0)])[0]["final"][:, 0]
     assert abs(np.mean(finals)) <= 4 * np.std(finals) / np.sqrt(len(finals))
 
 
@@ -297,6 +297,34 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
         (full.mean, full.stderr, full.max_rate_observed)
 
 
+def test_pooled_jobs_equal_separate_estimates(monkeypatch):
+    # four kinds of control at two start points, with compound-Poisson
+    # jumps; the pool of 8 slots refills many times over for 96 paths
+    prob, cp = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, 1.5, t_max=1.5, levy=cp)
+    controls = [
+        ctl.NullControl(),
+        ctl.ConstantRate(n=(1.0, 0.0), rate=0.3, eps=0.1),
+        ctl.SingularControlSpec(n=(0.0, 1.0),
+                                rate=lambda t: 0.4 if t < 0.25 else 0.1),
+        ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
+                                pushes=((0.3, (1.0, 1.0), 0.1),)),
+    ]
+    x0s = [np.array([0.2, -0.1]), np.array([-0.3, 0.4])]
+    jobs = [(c, x0, 12, 40 + 12 * i) for i, c in enumerate(controls)
+            for x0 in x0s]
+    alone = [ctl._estimate(params, x0, n, seed, c)
+             for c, x0, n, seed in jobs]
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    pooled = ctl.estimate_jobs(params, jobs)
+    assert all(est.max_rate_observed > 0 for est in alone[2:])
+    assert len({est.mean for est in alone}) == len(jobs)
+    for a, b in zip(alone, pooled, strict=True):
+        assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
+            == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
+    assert ctl.estimate_jobs(params, []) == []
+
+
 def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
     made = []
 
@@ -310,12 +338,16 @@ def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
 
     mapped_empty = ctl._mapped_empty
     monkeypatch.setattr(ctl, "_mapped_empty", recording)
-    # 40 paths in batches of at most 16
+    # a pool of 16 slots, refilled by the 40 paths of one estimate, by
+    # the 60 of two jobs, and one recorded path: one mapping per pool
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
-    ctl._estimate(flat_params(t_max=1.0), np.array([0.0]), 40, 3,
-                  ctl.NullControl())
+    par = flat_params(t_max=1.0)
+    ctl._estimate(par, np.array([0.0]), 40, 3, ctl.NullControl())
+    ctl.estimate_jobs(par, [(ctl.NullControl(), np.array([0.0]), 40, 3),
+                            (ctl.NullControl(), np.array([0.5]), 20, 9)])
+    ctl.simulate_path(par, ctl.NullControl(), np.array([0.0]), 1)
     assert len(made) == 3
-    # every batch's mapping is gone once its batch returns
+    # every pool's mapping is gone once its pool returns
     assert all(ref() is None for ref in made)
 
 
@@ -426,6 +458,23 @@ def test_time_varying_singular_rate():
     est = ctl.estimate_singular_value(par, spec, np.array([0.0]), 2, 0)
     oracle = 0.3 * (1.0 - np.exp(-1.0))
     assert abs(est.mean - oracle) <= 2 * par.dt * (0.3 + 1.0)
+
+
+def test_callable_rate_is_called_once_per_clock(monkeypatch):
+    # 4 slots serve 40 paths that exit at scattered steps, so the live
+    # paths carry many distinct clocks at once
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 4 * ctl._MIN_CHUNK_STEPS)
+    par = flat_params(sigma=lambda X: np.full(
+        (np.atleast_2d(X).shape[0], 1, 1), 1.0),
+        domain=Box(lo=(-0.2,), hi=(0.2,)), t_max=1.0)
+    calls = []
+    spec = ctl.SingularControlSpec(
+        n=(1.0,), rate=lambda t: calls.append(t) or (0.3 if t < 0.02 else 0.0))
+    est = ctl.estimate_singular_value(par, spec, np.array([0.0]), 40, 0)
+    assert len(calls) == len(set(calls)) > 0
+    n_calls = len(calls)
+    again = ctl.estimate_singular_value(par, spec, np.array([0.0]), 40, 0)
+    assert again.mean == est.mean and len(calls) == n_calls
 
 
 def test_singular_spec_validates_pushes():
