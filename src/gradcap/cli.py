@@ -193,14 +193,21 @@ def _sde_params(spec):
         raise ValidationError("sde", str(exc)) from exc
 
 
+def _floats(text, what, dim=None):
+    """The comma-separated numbers of option `--what`, `dim` of them if
+    given."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(what, f"--{what} {text}: {exc}") from exc
+    if dim is not None and len(vals) != dim:
+        raise ValidationError(what, f"--{what} {text}: expected {dim} "
+                              "comma-separated numbers")
+    return vals
+
+
 def _parse_x0(values, dim):
-    pts = []
-    for chunk in values:
-        vals = [float(v) for v in chunk.split(",")]
-        if len(vals) != dim:
-            raise ValidationError("x0", f"expected {dim} coordinates")
-        pts.append(np.array(vals))
-    return pts
+    return [np.array(_floats(chunk, "x0", dim)) for chunk in values]
 
 
 def _check_paths(n_paths):
@@ -221,7 +228,9 @@ def cmd_simulate(args):
     _check_paths(args.paths)
     spec = load_config(args.config)
     params = _sde_params(spec)
-    x0 = _parse_x0(args.x0, spec.grid.dim)[0]
+    if len(args.x0) != 1:
+        raise ValidationError("x0", "simulate takes exactly one --x0")
+    x0, = _parse_x0(args.x0, spec.grid.dim)
     if args.policy == "penalized":
         if not args.field:
             raise ValidationError("policy", "penalized policy needs --field")
@@ -229,14 +238,12 @@ def cmd_simulate(args):
         fld = read_field_csv(args.field, spec)
         policy = ctl.PenalizedFeedback(fld, eps, spec.coeffs.g)
     elif args.policy == "null":
-        policy = ctl.NullControl()
+        # a zero rate pushes nowhere and costs nothing
+        policy = ctl.SingularControlSpec(n=(1.0,) * spec.grid.dim)
     elif args.policy == "constant":
         eps = _penalized_eps(args.eps, "constant policy")
-        direction = [float(v) for v in args.direction.split(",")] \
+        direction = _floats(args.direction, "direction", spec.grid.dim) \
             if args.direction else [1.0] * spec.grid.dim
-        if len(direction) != spec.grid.dim:
-            raise ValidationError(
-                "direction", f"expected {spec.grid.dim} coordinates")
         try:
             policy = ctl.ConstantRate(n=tuple(direction), rate=args.rate,
                                       eps=eps)
@@ -244,8 +251,7 @@ def cmd_simulate(args):
             raise ValidationError("policy", str(exc)) from exc
     else:
         raise ValidationError("policy", f"unknown policy {args.policy!r}")
-    est = ctl.estimate_penalized_value(params, policy, x0, args.paths,
-                                       args.seed)
+    est, = ctl.estimate_jobs(params, [(policy, x0, args.paths, args.seed)])
     payload = {
         "config_hash": spec.config_hash,
         "policy": args.policy,
@@ -274,13 +280,17 @@ def cmd_verify(args):
             spec.problem, fld, "penalized", x0_list, args.paths, args.seed,
             params=params, eps=eps)
     elif args.mode == "singular":
-        controls = [ctl.SingularControlSpec(n=(1.0,) * spec.grid.dim,
-                                            rate=0.0)]
-        for rate in args.rate_controls:
-            controls.append(ctl.SingularControlSpec(
-                n=(1.0,) * spec.grid.dim, rate=float(rate)))
-            controls.append(ctl.SingularControlSpec(
-                n=(-1.0,) + (0.0,) * (spec.grid.dim - 1), rate=float(rate)))
+        dim = spec.grid.dim
+        controls = [ctl.SingularControlSpec(n=(1.0,) * dim, rate=0.0)]
+        for text in args.rate_controls:
+            rate, = _floats(text, "rate-controls", 1)
+            try:
+                controls += [
+                    ctl.SingularControlSpec(n=(1.0,) * dim, rate=rate),
+                    ctl.SingularControlSpec(n=(-1.0,) + (0.0,) * (dim - 1),
+                                            rate=rate)]
+            except ValueError as exc:
+                raise ValidationError("rate-controls", str(exc)) from exc
         rep = ctl.verify_value_equality(
             spec.problem, fld, "singular", x0_list, args.paths, args.seed,
             params=params, controls=controls)

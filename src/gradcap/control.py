@@ -10,8 +10,8 @@ domain or at the horizon cap; the discount makes the cap bias negligible.
 
 Every control answers one question per step, `act(X, t, g_cost) ->
 (rate, direction, effort)` with t the clocks of the rows of X, and lists
-its impulses in `pushes`; the step charges the running cost h plus
-`effort`.  Cost conventions: absolutely
+its impulses in `pushes`, each along a unit direction (`_unit`); the step
+charges the running cost h plus `effort`.  Cost conventions: absolutely
 continuous policies price their push rate by the conjugate penalty;
 singular test controls pay the constraint weight g times their rate, and
 g along each impulse segment (Gauss-Legendre along the straight
@@ -142,14 +142,23 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
                      jump_truncation=jump_truncation, t_max=t_max, dt=dt)
 
 
-class NullControl:
-    """No pushes at all."""
+def _unit(n):
+    """The direction n scaled to unit length, as a tuple of floats.
 
-    pushes = ()
+    Every push direction of the engine, a rate's or an impulse's, passes
+    through here once, so the step kernel never normalizes.
+    """
+    v = np.atleast_1d(np.asarray(n, dtype=float))
+    nrm = np.linalg.norm(v)
+    if not (np.isfinite(nrm) and nrm > 0):
+        raise ValueError(f"direction must be nonzero and finite, not {n}")
+    return tuple(float(c) for c in v / nrm)
 
-    def act(self, X, t, g_cost):
-        zero = np.zeros(X.shape[0])
-        return zero, np.zeros_like(X), zero
+
+def _check_rates(rates):
+    """Reject a negative or non-finite push rate."""
+    if not np.all(np.isfinite(rates) & (np.asarray(rates) >= 0)):
+        raise ValueError(f"push rates {rates} must be finite and nonnegative")
 
 
 @dataclass
@@ -169,13 +178,8 @@ class ConstantRate:
     pushes = ()
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.n, dtype=float))
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("direction must be nonzero")
-        self.n = tuple(v / nrm)
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        self.n = _unit(self.n)
+        _check_rates(self.rate)
         self._pf = PenaltyFn(self.eps)
         self._g_priced = self._prices = None
 
@@ -295,8 +299,9 @@ class SingularControlSpec:
 
     rate may be a float or a callable of time (see `rate_at`); pushes are
     (time, direction, size) triples applied at the containing step with the
-    exact push time in the discount factor.  Push sizes must be
-    nonnegative (the cumulative intensity is nondecreasing).
+    exact push time in the discount factor.  Rates and push sizes must be
+    nonnegative (the cumulative intensity is nondecreasing), and `n` and
+    every push direction are scaled to unit length.
     """
 
     n: tuple = (1.0,)
@@ -307,19 +312,24 @@ class SingularControlSpec:
                           repr=False, compare=False)
 
     def __post_init__(self):
+        self.n = _unit(self.n)
+        if not callable(self.rate):
+            _check_rates(self.rate)
         for t, _, dz in self.pushes:
             if dz < 0:
                 raise ValueError("push sizes must be nonnegative")
             if t <= 0:
                 raise ValueError("push times must be positive")
+        self.pushes = tuple((t, _unit(n_p), dz) for t, n_p, dz in self.pushes)
 
     def rate_at(self, t):
         """Push rate at each clock value of t (a number or an array).
 
         A callable rate is a function of time: it is called with a float,
         so it need not be vectorized, and once per clock value over the
-        life of the spec.  The pool's clocks are k dt for the step counts
-        k its paths have reached, so each step meets at most one new value.
+        life of the spec; each value it returns must be finite and
+        nonnegative.  The pool's clocks are k dt for the step counts k its
+        paths have reached, so each step meets at most one new value.
         """
         t = np.asarray(t, dtype=float)
         if not callable(self.rate):
@@ -331,9 +341,10 @@ class SingularControlSpec:
         seen[seen] = clocks[at[seen]] == flat[seen]
         if not seen.all():
             new = np.unique(flat[~seen])
+            new_rates = [float(self.rate(float(c))) for c in new]
+            _check_rates(new_rates)
             clocks = np.concatenate((clocks, new))
-            rates = np.concatenate(
-                (rates, [float(self.rate(float(c))) for c in new]))
+            rates = np.concatenate((rates, new_rates))
             order = np.argsort(clocks)
             clocks, rates = clocks[order], rates[order]
             self._known = (clocks, rates)
@@ -341,20 +352,13 @@ class SingularControlSpec:
         return rates[at].reshape(t.shape)
 
     def act(self, X, t, g_cost):
-        n = np.broadcast_to(np.asarray(self.n, dtype=float), X.shape)
+        n = np.broadcast_to(np.array(self.n), X.shape)
         if not callable(self.rate) and self.rate == 0:
             # zero effort costs exactly zero
             zero = np.zeros(X.shape[0])
             return zero, n, zero
         rate = self.rate_at(t)
         return rate, n, np.asarray(g_cost(X), dtype=float) * rate
-
-
-def _path_jumps(params, seed_rng):
-    if params.levy is None:
-        return []
-    return sample_jumps(params.levy, params.jump_truncation, params.t_max,
-                        seed_rng)
 
 
 def _simulate_pool(params, jobs, record=False):
@@ -405,8 +409,7 @@ def _simulate_pool(params, jobs, record=False):
                  len(controls))
         if c == len(controls):
             controls.append(control)
-            impulses += [(c, t_p, np.asarray(n_p, dtype=float)
-                          / np.linalg.norm(np.asarray(n_p, dtype=float)), dz)
+            impulses += [(c, t_p, np.asarray(n_p, dtype=float), dz)
                          for t_p, n_p, dz
                          in sorted(control.pushes, key=lambda p: p[0])]
             queues.append([])
@@ -453,7 +456,9 @@ def _simulate_pool(params, jobs, record=False):
         j = bisect_right(offsets, p) - 1
         rng = np.random.default_rng(int(jobs[j][3] + p - offsets[j]))
         push_times = [t_p for c_p, t_p, _, _ in impulses if c_p == c]
-        for t_j, z in _path_jumps(params, rng):
+        jumps = () if params.levy is None else sample_jumps(
+            params.levy, params.jump_truncation, params.t_max, rng)
+        for t_j, z in jumps:
             if t_j in push_times:
                 raise PushOutsideAdmissible(
                     f"push requested at jump time t={t_j}")
@@ -578,13 +583,6 @@ def simulate_path(params, control, x0, seed):
                           record=True)[0]["path"]
 
 
-def _bias_bound(params):
-    if params.levy is None:
-        return 0.0
-    return bounded_variation_error_bound(
-        params.levy, params.jump_truncation, params.t_max)
-
-
 def estimate_jobs(params, jobs):
     """One CostEstimate per `(control, x0, n_paths, base_seed)` job.
 
@@ -592,7 +590,8 @@ def estimate_jobs(params, jobs):
     jobs share one horizon tail; each estimate equals the one its job gets
     alone, bit for bit.
     """
-    bias = _bias_bound(params)
+    bias = 0.0 if params.levy is None else bounded_variation_error_bound(
+        params.levy, params.jump_truncation, params.t_max)
     estimates = []
     for (_, _, n_paths, base_seed), out in zip(
             jobs, _simulate_pool(params, jobs)):
@@ -606,38 +605,14 @@ def estimate_jobs(params, jobs):
     return estimates
 
 
-def _estimate(params, x0, n_paths, base_seed, control):
-    return estimate_jobs(params, [(control, x0, n_paths, base_seed)])[0]
-
-
-def estimate_penalized_value(params, policy, x0, n_paths, base_seed):
-    """Discounted running cost + conjugate-penalty effort cost, averaged."""
-    return _estimate(params, x0, n_paths, base_seed, policy)
-
-
-def estimate_singular_value(params, control_path_spec, x0, n_paths,
-                            base_seed):
-    """Discounted running cost + constraint-weight control cost, averaged."""
-    return _estimate(params, x0, n_paths, base_seed, control_path_spec)
-
-
 @dataclass
 class VerificationReport:
     entries: list
     all_pass: bool
 
 
-def _drift_sup(params, policy, grid_pts):
-    drift = np.asarray(params.drift(grid_pts), dtype=float)
-    base = float(np.max(np.linalg.norm(drift, axis=1)))
-    if policy is not None:
-        rate, _, _ = policy.act(grid_pts, 0.0, params.g_cost)
-        base += float(np.max(rate))
-    return base
-
-
 def verify_value_equality(problem, fld, mode, x0_list, n_paths, base_seed,
-                          params=None, eps=None, controls=None):
+                          params, eps=None, controls=None):
     """Monte Carlo cross-check of the PDE value.
 
     mode="penalized": simulate the optimal feedback of the penalized
@@ -647,49 +622,52 @@ def verify_value_equality(problem, fld, mode, x0_list, n_paths, base_seed,
     mode="singular": every supplied admissible test control must cost at
     least field(x0) minus the same budget (one-sided dominance; the
     attaining controls are out of scope).
+
+    The budget's drift sup is the largest |b| at the interior nodes plus
+    the control's rate: the feedback's largest rate at the nodes, a test
+    control's constant rate, and nothing for a callable rate.
     """
-    if params is None:
-        raise ValueError("params (SdeParams) is required")
     pts = problem.grid.interior_points()
-    entries = []
     if mode == "penalized":
         if eps is None:
             raise ValueError("penalized mode requires eps")
         policy = PenalizedFeedback(fld, eps, problem.coeffs.g)
-        drift_sup = _drift_sup(params, policy, pts)
-        ests = estimate_jobs(params, [(policy, x0, n_paths, base_seed)
-                                      for x0 in x0_list])
-        for x0, est in zip(x0_list, ests):
-            ref = fld.value_extended(x0)
-            tol = est.tolerance(drift_sup)
-            entries.append({
-                "x0": list(np.atleast_1d(x0)),
-                "mc_mean": est.mean, "stderr": est.stderr,
-                "field_value": ref, "tolerance": tol,
+        rate, _, _ = policy.act(pts, 0.0, params.g_cost)
+        rated = [(policy, float(np.max(rate)))]
+    elif mode == "singular":
+        if not controls:
+            raise ValueError("singular mode requires test controls")
+        rated = [(spec, 0.0 if callable(spec.rate) else float(spec.rate))
+                 for spec in controls]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    drift = np.asarray(params.drift(pts), dtype=float)
+    drift_sup = float(np.max(np.linalg.norm(drift, axis=1)))
+    pairs = [(control, rate_sup, x0) for control, rate_sup in rated
+             for x0 in x0_list]
+    ests = estimate_jobs(params, [(control, x0, n_paths, base_seed)
+                                  for control, _, x0 in pairs])
+    entries = []
+    for (control, rate_sup, x0), est in zip(pairs, ests):
+        ref = fld.value_extended(x0)
+        tol = est.tolerance(drift_sup + rate_sup)
+        entry = {
+            "x0": list(np.atleast_1d(x0)),
+            "mc_mean": est.mean, "stderr": est.stderr,
+            "field_value": ref, "tolerance": tol,
+        }
+        if mode == "penalized":
+            entry.update({
                 "diff": est.mean - ref,
                 "max_rate_observed": est.max_rate_observed,
                 "pass": bool(abs(est.mean - ref) <= tol),
             })
-    elif mode == "singular":
-        if not controls:
-            raise ValueError("singular mode requires test controls")
-        drift_sup = _drift_sup(params, None, pts)
-        pairs = [(spec, x0) for spec in controls for x0 in x0_list]
-        ests = estimate_jobs(params, [(spec, x0, n_paths, base_seed)
-                                      for spec, x0 in pairs])
-        for (spec, x0), est in zip(pairs, ests):
-            extra = 0.0 if callable(spec.rate) else float(spec.rate)
-            ref = fld.value_extended(x0)
-            tol = est.tolerance(drift_sup + extra)
-            entries.append({
-                "x0": list(np.atleast_1d(x0)),
-                "control": repr(spec),
-                "mc_mean": est.mean, "stderr": est.stderr,
-                "field_value": ref, "tolerance": tol,
+        else:
+            entry.update({
+                "control": repr(control),
                 "margin": est.mean - ref + tol,
                 "pass": bool(est.mean >= ref - tol),
             })
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        entries.append(entry)
     return VerificationReport(entries=entries,
                               all_pass=all(e["pass"] for e in entries))

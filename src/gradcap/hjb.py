@@ -166,14 +166,14 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
                 break
         prev_res = res
 
-    final = hjb_residual(problem, prev)
+    # res is the residual of prev, the final field
     return HjbReport(
         solution=prev,
         eps_trace=trace,
-        residual_pde_pos=final["pde_pos"],
-        residual_grad_pos=final["grad_pos"],
-        complementarity=final["complementarity"],
-        active_set_fraction=final["active_set_fraction"],
+        residual_pde_pos=res["pde_pos"],
+        residual_grad_pos=res["grad_pos"],
+        complementarity=res["complementarity"],
+        active_set_fraction=res["active_set_fraction"],
         grad_sup=reports[-1].grad_sup,
         bound_C1=reports[-1].bound_C1,
         iterations_total=total_iter,

@@ -163,17 +163,14 @@ def solve_nidd(problem, eps, opts=None, initial=None):
         raise ValueError("eps must lie in (0, 1)")
     pf = PenaltyFn(eps)
     grid = problem.grid
-    mat = problem.matrix()
-    gamma = mat.gamma_matrix()
+    gamma = problem.matrix().gamma_matrix()
     h_int = problem.h_interior()
     g_int = problem.g_interior()
 
     h_scale = float(np.max(np.abs(h_int))) if h_int.size else 0.0
     tol_res = opts.tol_res_factor * (1.0 + h_scale)
 
-    # C1 from the linear problem gamma v = h
-    v_lin = solve_linear_dirichlet(mat, h_int)
-    bound_c1 = float(np.max(v_lin.values)) if h_scale > 0 else 0.0
+    bound_c1 = problem.bound_c1()
 
     if initial is not None:
         if initial.grid is not grid and not initial.grid.same_as(grid):

@@ -1,12 +1,15 @@
 """Numerical problem container shared by the solver modules.
 
 Bundles the grid, coefficient fields, jump density, and quadrature rule, and
-caches the assembled operator and gradient stencils, which are reused across
-Newton steps and the whole eps-continuation.
+caches the assembled operator, the gradient stencils and the a priori bound
+C1, which are reused across Newton steps and the whole eps-continuation.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .nidd import solve_linear_dirichlet
 from .operators import assemble_linear_system, build_gradient_ops
 
 
@@ -17,6 +20,7 @@ class Problem:
         self.s = s
         self.quad = quad
         self._matrix = None
+        self._c1 = None
         self._grad_ops = None
         self._h_int = None
         self._g_int = None
@@ -26,6 +30,14 @@ class Problem:
             self._matrix = assemble_linear_system(
                 self.coeffs, self.s, self.quad, self.grid)
         return self._matrix
+
+    def bound_c1(self):
+        """C1 = max v for the linear problem gamma v = h, the upper end of
+        the sandwich 0 <= u_eps <= C1 that every eps shares."""
+        if self._c1 is None:
+            v = solve_linear_dirichlet(self.matrix(), self.h_interior())
+            self._c1 = float(np.max(v.values))
+        return self._c1
 
     def grad_ops(self):
         if self._grad_ops is None:

@@ -368,6 +368,33 @@ def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
     assert np.isfinite(json.loads(out.read_text())["stderr"])
 
 
+@pytest.mark.parametrize("cmd, bad", [
+    (["simulate", "--policy", "null"], ["--x0", "abc"]),
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--x0", "0.5"]),
+    (["simulate", "--policy", "constant", "--eps", "0.1", "--rate", "0.3"],
+     ["--x0", "0.0", "--direction", "a"]),
+    (["verify", "--mode", "singular"], ["--x0", "0.0,0.1"]),
+    (["verify", "--mode", "singular"],
+     ["--x0", "0.0", "--rate-controls", "x"]),
+    (["verify", "--mode", "singular"],
+     ["--x0", "0.0", "--rate-controls", "-0.5"]),
+    (["verify", "--mode", "singular"],
+     ["--x0", "0.0", "--rate-controls", "nan"]),
+])
+def test_cli_bad_monte_carlo_input_exit_2(tmp_path, capsys, cmd, bad):
+    from gradcap.cli import main
+    cfg, field = short_control_field(tmp_path)
+    out = tmp_path / "out.json"
+    argv = cmd + bad + ["--config", str(cfg), "--paths", "20",
+                        "--out", str(out)]
+    if cmd[0] == "verify":
+        argv += ["--field", str(field)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def _tamper(lines, spec, case):
     """Break one thing in the lines of a valid field CSV."""
     row = 7  # a data row; line 0 is the hash, line 1 the column header

@@ -32,10 +32,19 @@ def flat_params(**kw):
     return ctl.SdeParams(**base)
 
 
+def null(dim=1):
+    """The control that never pushes: a zero rate along any direction."""
+    return ctl.SingularControlSpec(n=(1.0,) * dim)
+
+
+def estimate(params, control, x0, n_paths, seed):
+    return ctl.estimate_jobs(params, [(control, x0, n_paths, seed)])[0]
+
+
 def test_deterministic_drift_exit_time():
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
                       drift=lambda X: np.full_like(X, 0.5), t_max=5.0)
-    p = ctl.simulate_path(par, ctl.NullControl(), np.array([0.2]), 1)
+    p = ctl.simulate_path(par, null(), np.array([0.2]), 1)
     # dX = -0.5 dt from 0.2 crosses -1 at t = 2.4
     assert p.exited
     assert abs(p.exit_time - 2.4) <= par.dt + 1e-12
@@ -51,8 +60,7 @@ def test_constant_rate_shifts_crossing():
 
 def test_discounted_integral_oracle():
     par = flat_params()
-    est = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                       np.array([0.0]), 32, 0)
+    est = estimate(par, null(), np.array([0.0]), 32, 0)
     oracle = (1.0 - np.exp(-14.0)) / 1.0
     assert abs(est.mean - oracle) <= 2 * par.dt * 1.0  # left-endpoint bias
     assert est.stderr == 0.0  # deterministic dynamics
@@ -61,14 +69,12 @@ def test_discounted_integral_oracle():
 def test_estimate_rejects_no_paths():
     for n_paths in (0, -3):
         with pytest.raises(ValueError, match="n_paths"):
-            ctl.estimate_penalized_value(flat_params(), ctl.NullControl(),
-                                         np.array([0.0]), n_paths, 0)
+            estimate(flat_params(), null(), np.array([0.0]), n_paths, 0)
 
 
 def test_zero_running_cost_is_exactly_zero():
     par = flat_params(h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
-    est = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                       np.array([0.0]), 8, 0)
+    est = estimate(par, null(), np.array([0.0]), 8, 0)
     assert est.mean == 0.0
 
 
@@ -79,7 +85,7 @@ def test_jump_mean_compensation():
     par = flat_params(levy=cp, jump_truncation=0.01, t_max=2.0,
                       drift=lambda X: np.ones_like(X),
                       h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]))
-    finals = ctl._simulate_pool(par, [(ctl.NullControl(), np.array([0.0]),
+    finals = ctl._simulate_pool(par, [(null(), np.array([0.0]),
                                        400, 0)])[0]["final"][:, 0]
     assert abs(np.mean(finals)) <= 4 * np.std(finals) / np.sqrt(len(finals))
 
@@ -89,7 +95,7 @@ def test_push_cost_exact_discount():
                                    pushes=((0.5, (1.0,), 0.25),))
     par = flat_params(h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]),
                       t_max=1.0)
-    est = ctl.estimate_singular_value(par, spec, np.array([0.0]), 4, 0)
+    est = estimate(par, spec, np.array([0.0]), 4, 0)
     assert est.mean == pytest.approx(np.exp(-0.5) * 0.25, abs=1e-14)
 
 
@@ -100,19 +106,9 @@ def test_push_line_integral_matches_closed_form():
     par = flat_params(h_cost=lambda X: np.zeros(np.atleast_2d(X).shape[0]),
                       g_cost=lambda X: np.abs(np.atleast_2d(X)[:, 0]),
                       t_max=1.0)
-    est = ctl.estimate_singular_value(par, spec, np.array([0.8]), 2, 0)
+    est = estimate(par, spec, np.array([0.8]), 2, 0)
     oracle = np.exp(-0.5) * 0.3 * 0.65  # int_0^1 |0.8 - 0.3 l| dl = 0.65
     assert abs(est.mean - oracle) <= 1e-10
-
-
-def test_singular_without_pushes_equals_null_penalized():
-    par = flat_params(t_max=3.0)
-    a = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                     np.array([0.0]), 16, 5)
-    b = ctl.estimate_singular_value(
-        par, ctl.SingularControlSpec(n=(1.0,), rate=0.0), np.array([0.0]),
-        16, 5)
-    assert a.mean == b.mean  # same dynamics, same seeds, zero effort
 
 
 def test_push_at_jump_time_rejected():
@@ -126,23 +122,21 @@ def test_push_at_jump_time_rejected():
     spec = ctl.SingularControlSpec(n=(1.0,), rate=0.0,
                                    pushes=((t_jump, (1.0,), 0.1),))
     with pytest.raises(PushOutsideAdmissible):
-        ctl.estimate_singular_value(par, spec, np.array([0.0]), 1, 9)
+        estimate(par, spec, np.array([0.0]), 1, 9)
 
 
 def test_start_outside_domain():
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)))
     with pytest.raises(StartOutsideDomain):
-        ctl.simulate_path(par, ctl.NullControl(), np.array([1.5]), 0)
+        ctl.simulate_path(par, null(), np.array([1.5]), 0)
 
 
 def test_seed_determinism():
     par = flat_params(sigma=lambda X: np.full(
         (np.atleast_2d(X).shape[0], 1, 1), 0.5),
         domain=Box(lo=(-2,), hi=(2,)), t_max=3.0)
-    a = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                     np.array([0.0]), 64, 123)
-    b = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                     np.array([0.0]), 64, 123)
+    a = estimate(par, null(), np.array([0.0]), 64, 123)
+    b = estimate(par, null(), np.array([0.0]), 64, 123)
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
@@ -157,8 +151,7 @@ def test_dt_refinement_first_order_on_deterministic_case():
     means = {}
     for dt in (2e-3, 1e-3):
         par = ctl.SdeParams(dt=dt, **base)
-        means[dt] = ctl.estimate_penalized_value(
-            par, ctl.NullControl(), np.array([0.0]), 1, 0).mean
+        means[dt] = estimate(par, null(), np.array([0.0]), 1, 0).mean
     assert abs(means[2e-3] - means[1e-3]) <= 3.0 * 1e-3
 
 
@@ -285,7 +278,7 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
     ctrl = control(prob)
 
     def run():
-        return ctl._estimate(params, np.array(x0), 50, 17, ctrl)
+        return estimate(params, ctrl, np.array(x0), 50, 17)
 
     full = run()
     # 50 paths in batches of at most 16 (1D) or 8 (2D), each refilling its
@@ -303,7 +296,7 @@ def test_pooled_jobs_equal_separate_estimates(monkeypatch):
     prob, cp = make_control_problem_2d()
     params = ctl.sde_from_problem(prob, 1.5, t_max=1.5, levy=cp)
     controls = [
-        ctl.NullControl(),
+        null(2),
         ctl.ConstantRate(n=(1.0, 0.0), rate=0.3, eps=0.1),
         ctl.SingularControlSpec(n=(0.0, 1.0),
                                 rate=lambda t: 0.4 if t < 0.25 else 0.1),
@@ -313,7 +306,7 @@ def test_pooled_jobs_equal_separate_estimates(monkeypatch):
     x0s = [np.array([0.2, -0.1]), np.array([-0.3, 0.4])]
     jobs = [(c, x0, 12, 40 + 12 * i) for i, c in enumerate(controls)
             for x0 in x0s]
-    alone = [ctl._estimate(params, x0, n, seed, c)
+    alone = [estimate(params, c, x0, n, seed)
              for c, x0, n, seed in jobs]
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     pooled = ctl.estimate_jobs(params, jobs)
@@ -342,10 +335,10 @@ def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
     # the 60 of two jobs, and one recorded path: one mapping per pool
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     par = flat_params(t_max=1.0)
-    ctl._estimate(par, np.array([0.0]), 40, 3, ctl.NullControl())
-    ctl.estimate_jobs(par, [(ctl.NullControl(), np.array([0.0]), 40, 3),
-                            (ctl.NullControl(), np.array([0.5]), 20, 9)])
-    ctl.simulate_path(par, ctl.NullControl(), np.array([0.0]), 1)
+    estimate(par, null(), np.array([0.0]), 40, 3)
+    ctl.estimate_jobs(par, [(null(), np.array([0.0]), 40, 3),
+                            (null(), np.array([0.5]), 20, 9)])
+    ctl.simulate_path(par, null(), np.array([0.0]), 1)
     assert len(made) == 3
     # every pool's mapping is gone once its pool returns
     assert all(ref() is None for ref in made)
@@ -408,7 +401,7 @@ def test_constant_rate_with_constant_g_is_priced_once(monkeypatch):
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
                       sigma=lambda X: np.full((X.shape[0], 1, 1), 0.3),
                       t_max=0.5)
-    est = ctl.estimate_penalized_value(
+    est = estimate(
         par, ctl.ConstantRate(n=(1.0,), rate=0.5, eps=0.1),
         np.array([0.0]), 16, 3)
     assert est.n_paths == 16
@@ -455,7 +448,7 @@ def test_time_varying_singular_rate():
                       t_max=2.0)
     spec = ctl.SingularControlSpec(
         n=(1.0,), rate=lambda t: 0.3 if t < 1.0 else 0.0)
-    est = ctl.estimate_singular_value(par, spec, np.array([0.0]), 2, 0)
+    est = estimate(par, spec, np.array([0.0]), 2, 0)
     oracle = 0.3 * (1.0 - np.exp(-1.0))
     assert abs(est.mean - oracle) <= 2 * par.dt * (0.3 + 1.0)
 
@@ -470,10 +463,10 @@ def test_callable_rate_is_called_once_per_clock(monkeypatch):
     calls = []
     spec = ctl.SingularControlSpec(
         n=(1.0,), rate=lambda t: calls.append(t) or (0.3 if t < 0.02 else 0.0))
-    est = ctl.estimate_singular_value(par, spec, np.array([0.0]), 40, 0)
+    est = estimate(par, spec, np.array([0.0]), 40, 0)
     assert len(calls) == len(set(calls)) > 0
     n_calls = len(calls)
-    again = ctl.estimate_singular_value(par, spec, np.array([0.0]), 40, 0)
+    again = estimate(par, spec, np.array([0.0]), 40, 0)
     assert again.mean == est.mean and len(calls) == n_calls
 
 
@@ -486,16 +479,54 @@ def test_singular_spec_validates_pushes():
                                 pushes=((0.0, (1.0,), 0.1),))
 
 
+def test_singular_spec_validates_rates_and_directions():
+    for kw in (dict(rate=-0.1), dict(rate=float("nan")),
+               dict(rate=float("inf")), dict(n=(0.0,)),
+               dict(n=(0.0, 0.0), rate=0.2),
+               dict(pushes=((0.5, (0.0,), 0.1),))):
+        with pytest.raises(ValueError):
+            ctl.SingularControlSpec(**kw)
+    # a callable rate is checked at each clock it is first evaluated at
+    spec = ctl.SingularControlSpec(rate=lambda t: 0.2 - t)
+    assert np.array_equal(spec.rate_at([0.0, 0.1]), [0.2, 0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        spec.rate_at(0.3)
+    par = flat_params(t_max=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimate(par, spec, np.array([0.0]), 2, 0)
+
+
+def test_singular_directions_are_unit_vectors():
+    spec = ctl.SingularControlSpec(n=(3.0, 4.0), rate=0.2,
+                                   pushes=((0.5, (0.0, -2.0), 0.1),))
+    assert spec.n == (0.6, 0.8)
+    assert spec.pushes == ((0.5, (0.0, -1.0), 0.1),)
+    assert repr(ctl.SingularControlSpec(n=(-1.0,), rate=0.25)) == \
+        "SingularControlSpec(n=(-1.0,), rate=0.25, pushes=())"
+    # rate 0.3 along (1, 1) from the centre of the box [-1, 1]^2 reaches
+    # the corner at t = sqrt(2) / 0.3, moving at speed 0.3, not 0.3 sqrt(2)
+    par = flat_params(domain=Box(lo=(-1, -1), hi=(1, 1)),
+                      sigma=lambda X: np.zeros((X.shape[0], 2, 2)))
+    p = ctl.simulate_path(par, ctl.SingularControlSpec(n=(1, 1), rate=0.3),
+                          np.zeros(2), 0)
+    assert abs(p.exit_time - np.sqrt(2.0) / 0.3) <= par.dt + 1e-12
+    prob, cp = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, 1.5, t_max=1.0, levy=cp)
+    x0 = np.array([0.2, -0.1])
+    a, b = (estimate(params, ctl.SingularControlSpec(n=n, rate=0.3), x0, 40,
+                     5) for n in ((1.0, 1.0), (2**-0.5, 2**-0.5)))
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
 def test_cost_estimates_nonnegative_for_nonnegative_data():
     par = flat_params(sigma=lambda X: np.full(
         (np.atleast_2d(X).shape[0], 1, 1), 0.7),
         domain=Box(lo=(-3,), hi=(3,)), t_max=4.0)
-    est = ctl.estimate_penalized_value(par, ctl.NullControl(),
-                                       np.array([0.0]), 64, 3)
+    est = estimate(par, null(), np.array([0.0]), 64, 3)
     assert est.mean >= 0.0
     spec = ctl.SingularControlSpec(n=(1.0,), rate=0.2,
                                    pushes=((0.7, (1.0,), 0.3),))
-    est2 = ctl.estimate_singular_value(par, spec, np.array([0.0]), 64, 3)
+    est2 = estimate(par, spec, np.array([0.0]), 64, 3)
     assert est2.mean >= 0.0
 
 

@@ -32,6 +32,26 @@ def test_unconstrained_collapses_to_linear_solve():
     assert np.max(np.abs(rep.solution.values - lin.values)) <= 1e-7
 
 
+def test_one_linear_solve_per_problem(monkeypatch):
+    # C1 is the same for every eps stage and sub-step of the continuation
+    import gradcap.nidd
+    import gradcap.problem
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(1)
+        return solve_linear_dirichlet(matrix, rhs)
+
+    for module in (gradcap.nidd, gradcap.problem):
+        monkeypatch.setattr(module, "solve_linear_dirichlet", counting)
+    prob = make_problem_1d(h_grid=1 / 32, h=2.0, g=1.0)
+    rep = solve_hjb(prob, (0.5, 0.25, 0.1))
+    assert len(rep.nidd_reports) == 3
+    assert len(calls) == 1
+    assert all(r.bound_C1 == prob.bound_c1() > 0 for r in rep.nidd_reports)
+    assert len(calls) == 1
+
+
 def test_residual_of_zero_field():
     prob = make_problem_1d(h_grid=1 / 32, h=2.0, g=1.0)
     res = hjb_residual(prob, SolutionField.zeros(prob.grid))

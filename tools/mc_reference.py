@@ -1,0 +1,153 @@
+"""Print a bit-identity reference of the solver and Monte Carlo outputs.
+
+One line per case, pinning nothing: run it on two versions of the library
+and compare the outputs with `diff`.
+
+    python tools/mc_reference.py [--src DIR] > ref.txt
+
+`--src` names the directory that holds the `gradcap` package (default: the
+`src` of this checkout).  The CLI cases print the sha256 of each artifact:
+`simulate` (null, constant and penalized policies) and `verify` (penalized
+and singular modes) JSON on `example_1d_control`, and the `solve-hjb` CSV
+of every shipped config.  The library cases print the mean, standard error
+and largest push rate in hex of 2D estimates: penalized verification with
+compound-Poisson jumps, an impulse along (1, 1), a callable rate, and a
+pooled call of several controls at two start points.  Every control direction
+is a unit vector.  The whole run takes about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+PATHS = 1000
+
+
+def _sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _hex(est):
+    return (f"mean={float(est.mean).hex()} stderr={float(est.stderr).hex()} "
+            f"max_rate={float(est.max_rate_observed).hex()}")
+
+
+def cli_cases(out):
+    from gradcap.cli import main
+
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        csv = out / f"{cfg.stem}_u.csv"
+        code = main(["solve-hjb", "--config", str(cfg), "--out", str(csv)])
+        yield f"solve-hjb {cfg.stem} exit={code} {_sha(csv)}"
+
+    cfg = str(CONFIGS / "example_1d_control.json")
+    field = str(out / "u_eps.csv")
+    main(["solve-nidd", "--config", cfg, "--eps", "0.1", "--out", field])
+    common = ["--config", cfg, "--paths", str(PATHS), "--seed", "42"]
+    runs = {
+        "simulate null": ["simulate", "--policy", "null", "--x0", "0.0"],
+        "simulate constant": ["simulate", "--policy", "constant",
+                              "--rate", "0.3", "--eps", "0.1",
+                              "--x0", "0.2"],
+        "simulate penalized": ["simulate", "--policy", "penalized",
+                               "--field", field, "--eps", "0.1",
+                               "--x0", "0.0"],
+        "verify penalized": ["verify", "--mode", "penalized",
+                             "--field", field, "--eps", "0.1",
+                             "--x0", "0.0", "--x0", "0.4"],
+        "verify singular": ["verify", "--mode", "singular",
+                            "--field", field, "--x0", "0.0",
+                            "--rate-controls", "0.25"],
+    }
+    for name, argv in runs.items():
+        path = out / (name.replace(" ", "_") + ".json")
+        code = main(argv + common + ["--out", str(path)])
+        yield f"{name} exit={code} {_sha(path)}"
+
+
+def _problem_2d():
+    from gradcap.geometry import Ball, build_grid
+    from gradcap.levy import CompoundPoisson, build_quadrature, \
+        constant_density
+    from gradcap.operators import Coefficients
+    from gradcap.problem import Problem
+
+    def const(value, shape=()):
+        return lambda X: np.broadcast_to(
+            value, (np.atleast_2d(X).shape[0],) + shape).copy()
+
+    grid = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 1 / 32)
+    cp = CompoundPoisson(atoms=(((0.25, -0.2), 0.5),))
+    co = Coefficients(
+        a=const(0.15 * np.eye(2), (2, 2)),
+        b=const(np.array([0.1, -0.05]), (2,)),
+        c=const(1.5),
+        h=lambda X: 3.0 * np.exp(-6.0 * np.sum(np.atleast_2d(X)**2, axis=1)),
+        g=const(0.6), theta=0.13, dim=2)
+    quad = build_quadrature(cp, 1e-3, 2.0)
+    return Problem(grid, co, constant_density(1.0), quad), cp
+
+
+def library_cases():
+    from gradcap import control as ctl
+    from gradcap.nidd import solve_nidd
+
+    prob, cp = _problem_2d()
+    params = ctl.sde_from_problem(prob, 1.5, t_max=4.0, levy=cp)
+    fld = solve_nidd(prob, 0.1).solution
+    x0s = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
+    rep = ctl.verify_value_equality(prob, fld, "penalized", x0s, PATHS, 42,
+                                    params=params, eps=0.1)
+    for e in rep.entries:
+        x0 = ",".join(f"{float(v):g}" for v in e["x0"])
+        yield (f"2d penalized verify x0={x0} "
+               f"mean={e['mc_mean'].hex()} stderr={e['stderr'].hex()} "
+               f"max_rate={e['max_rate_observed'].hex()} "
+               f"tol={e['tolerance'].hex()} pass={e['pass']}")
+
+    impulse = ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
+                                      pushes=((0.3, (1.0, 1.0), 0.1),))
+    callable_rate = ctl.SingularControlSpec(
+        n=(0.0, 1.0), rate=lambda t: 0.4 if t < 0.25 else 0.1)
+    alone = {"impulse (1,1)": impulse, "callable rate": callable_rate}
+    for name, control in alone.items():
+        est, = ctl.estimate_jobs(params, [(control, x0s[1], PATHS, 7)])
+        yield f"2d {name} {_hex(est)}"
+
+    controls = [
+        ctl.SingularControlSpec(n=(1.0, 0.0), rate=0.0),
+        ctl.ConstantRate(n=(1.0, 0.0), rate=0.3, eps=0.1),
+        ctl.SingularControlSpec(n=(0.0, 1.0),
+                                rate=lambda t: 0.4 if t < 0.25 else 0.1),
+        ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
+                                pushes=((0.3, (1.0, 1.0), 0.1),)),
+    ]
+    jobs = [(c, x0, 200, 40 + 200 * i) for i, c in enumerate(controls)
+            for x0 in x0s]
+    for i, est in enumerate(ctl.estimate_jobs(params, jobs)):
+        yield f"2d pooled job {i} {_hex(est)}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the gradcap package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in cli_cases(Path(tmp)):
+            print(line, flush=True)
+    for line in library_cases():
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
