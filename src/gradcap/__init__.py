@@ -5,8 +5,7 @@ from .config import ProblemSpec, build_spec, emit, load_config
 from .control import (ConstantRate, CostEstimate, PenalizedFeedback,
                       SdeParams, SingularControlSpec, estimate_jobs,
                       sde_from_problem, simulate_path, verify_value_equality)
-from .geometry import (Ball, Box, Grid, SolutionField, build_grid,
-                       classify_point, field_value_extended)
+from .geometry import Ball, Box, Grid, SolutionField, build_grid
 from .hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, HjbReport, hjb_residual,
                   solve_hjb)
 from .levy import (BVDensity, CompoundPoisson, JumpDensity, QuadratureRule,

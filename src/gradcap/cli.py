@@ -9,6 +9,7 @@ hash and the seed so results can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -103,6 +104,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _fields(report, *skip):
+    """Every field of a report dataclass but `skip`, by name."""
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report) if f.name not in skip}
+
+
 def cmd_solve_nidd(args):
     spec = load_config(args.config)
     try:
@@ -116,18 +123,8 @@ def cmd_solve_nidd(args):
     write_field_csv(args.out, spec, rep.solution,
                     res["per_node"]["complementarity"])
     if args.report:
-        _write_json(args.report, {
-            "config_hash": spec.config_hash,
-            "eps": rep.eps,
-            "iterations": rep.iterations,
-            "residual_sup": rep.residual_sup,
-            "final_update_norm": rep.final_update_norm,
-            "bound_C1": rep.bound_C1,
-            "min_value": rep.min_value,
-            "max_value": rep.max_value,
-            "grad_sup": rep.grad_sup,
-            "converged": rep.converged,
-        })
+        _write_json(args.report, {"config_hash": spec.config_hash,
+                                  **_fields(rep, "solution")})
     if args.dump_matrix:
         from scipy.io import mmwrite
         mmwrite(args.dump_matrix, spec.problem.matrix().gamma_matrix())
@@ -139,43 +136,27 @@ def cmd_solve_hjb(args):
     try:
         rep = solve_hjb(spec.problem, spec.eps_schedule,
                         HjbOptions(nidd=spec.solver_options))
-        exit_code = 0
+        fld = rep.solution
     except MaxIterationsExceeded as exc:
-        nidd_rep = exc.report
-        res = hjb_residual(spec.problem, nidd_rep.solution)
-        write_field_csv(args.out, spec, nidd_rep.solution,
-                        res["per_node"]["complementarity"])
+        rep, fld = None, exc.report.solution
         print(f"error: {exc}", file=sys.stderr)
+    res = hjb_residual(spec.problem, fld)
+    write_field_csv(args.out, spec, fld, res["per_node"]["complementarity"])
+    if rep is None:
         return 1
-    res = hjb_residual(spec.problem, rep.solution)
-    write_field_csv(args.out, spec, rep.solution,
-                    res["per_node"]["complementarity"])
     if args.report:
         _write_json(args.report, {
             "config_hash": spec.config_hash,
-            "eps_trace": rep.eps_trace,
-            "residual_pde_pos": rep.residual_pde_pos,
-            "residual_grad_pos": rep.residual_grad_pos,
-            "complementarity": rep.complementarity,
-            "active_set_fraction": rep.active_set_fraction,
-            "grad_sup": rep.grad_sup,
-            "bound_C1": rep.bound_C1,
-            "iterations_total": rep.iterations_total,
-        })
-    return exit_code
+            **_fields(rep, "solution", "nidd_reports")})
+    return 0
 
 
 def cmd_residual(args):
     spec = load_config(args.config)
     fld = read_field_csv(args.field, spec)
     res = hjb_residual(spec.problem, fld)
-    payload = {
-        "config_hash": spec.config_hash,
-        "pde_pos": res["pde_pos"],
-        "grad_pos": res["grad_pos"],
-        "complementarity": res["complementarity"],
-        "active_set_fraction": res["active_set_fraction"],
-    }
+    del res["per_node"]
+    payload = {"config_hash": spec.config_hash, **res}
     if args.out:
         _write_json(args.out, payload)
     else:
@@ -206,14 +187,24 @@ def _floats(text, what, dim=None):
     return vals
 
 
-def _parse_x0(values, dim):
-    return [np.array(_floats(chunk, "x0", dim)) for chunk in values]
+def _parse_x0(values, domain):
+    """The start points of the `--x0` options, each inside the domain."""
+    points = []
+    for chunk in values:
+        x0 = np.array(_floats(chunk, "x0", domain.dim))
+        if not domain.contains(x0):
+            raise ValidationError("x0", f"--x0 {chunk}: not inside the domain")
+        points.append(x0)
+    return points
 
 
-def _check_paths(n_paths):
-    if n_paths < 2:
-        raise ValidationError(
-            "paths", f"--paths {n_paths}: a standard error needs at least 2")
+def _check_sampling(args):
+    if args.paths < 2:
+        raise ValidationError("paths", f"--paths {args.paths}: a standard "
+                              "error needs at least 2")
+    if args.seed < 0:
+        raise ValidationError("seed", f"--seed {args.seed}: must be "
+                              "nonnegative")
 
 
 def _penalized_eps(eps, what):
@@ -225,12 +216,12 @@ def _penalized_eps(eps, what):
 
 
 def cmd_simulate(args):
-    _check_paths(args.paths)
+    _check_sampling(args)
     spec = load_config(args.config)
     params = _sde_params(spec)
     if len(args.x0) != 1:
         raise ValidationError("x0", "simulate takes exactly one --x0")
-    x0, = _parse_x0(args.x0, spec.grid.dim)
+    x0, = _parse_x0(args.x0, spec.domain)
     if args.policy == "penalized":
         if not args.field:
             raise ValidationError("policy", "penalized policy needs --field")
@@ -252,28 +243,20 @@ def cmd_simulate(args):
     else:
         raise ValidationError("policy", f"unknown policy {args.policy!r}")
     est, = ctl.estimate_jobs(params, [(policy, x0, args.paths, args.seed)])
-    payload = {
+    _write_json(args.out, {
         "config_hash": spec.config_hash,
         "policy": args.policy,
         "x0": [float(v) for v in np.atleast_1d(x0)],
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_paths": est.n_paths,
-        "seed": est.seed,
-        "dt": est.dt,
-        "discarded_bias_bound": est.discarded_bias_bound,
-        "max_rate_observed": est.max_rate_observed,
-    }
-    _write_json(args.out, payload)
+        **_fields(est)})
     return 0
 
 
 def cmd_verify(args):
-    _check_paths(args.paths)
+    _check_sampling(args)
     spec = load_config(args.config)
     params = _sde_params(spec)
     fld = read_field_csv(args.field, spec)
-    x0_list = _parse_x0(args.x0, spec.grid.dim)
+    x0_list = _parse_x0(args.x0, spec.domain)
     if args.mode == "penalized":
         eps = _penalized_eps(args.eps, "penalized mode")
         rep = ctl.verify_value_equality(

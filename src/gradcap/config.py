@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DivergentMeasure, EllipticityViolation, InvalidCutoffs,
                      ParseError, SpacingTooCoarse, ValidationError)
 from .geometry import Ball, Box, build_grid
-from .hjb import DEFAULT_EPS_SCHEDULE
+from .hjb import DEFAULT_EPS_SCHEDULE, check_eps_schedule
 from .levy import (BVDensity, CompoundPoisson, JumpDensity, build_quadrature,
                    constant_density)
 from .nidd import SolverOptions
@@ -118,15 +118,10 @@ def _positive_number(value, field_path):
 
 def _check_settings(solver, sde):
     """Types and ranges of the solver and sde settings."""
-    for key, value in solver.items():
-        if key == "max_iter":
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                raise ValidationError("solver.max_iter",
-                                      f"expected a positive integer, got "
-                                      f"{value!r}")
-        else:
-            _positive_number(value, f"solver.{key}")
+    value = solver.get("max_iter", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError("solver.max_iter",
+                              f"expected a positive integer, got {value!r}")
     for key, value in sde.items():
         # a null horizon means the default, 14 / q
         if not (key == "t_max" and value is None):
@@ -194,7 +189,7 @@ def _parse_levy(d, dim):
 def _parse_jump_density(d, dim):
     if d is None:
         return constant_density(1.0)
-    _expect_keys(d, "jump_density", ("type",), ("value", "body", "lipschitz"))
+    _expect_keys(d, "jump_density", ("type",), ("value", "body"))
     kind = d["type"]
     if kind == "constant":
         _expect_keys(d, "jump_density", ("type", "value"))
@@ -203,7 +198,7 @@ def _parse_jump_density(d, dim):
         except ValueError as exc:
             raise ValidationError("jump_density.value", str(exc)) from exc
     if kind == "expr":
-        _expect_keys(d, "jump_density", ("type", "body"), ("lipschitz",))
+        _expect_keys(d, "jump_density", ("type", "body"))
         names = {"x", "z"} if dim == 1 else {"x", "y", "z0", "z1"}
         fn = compile_expr(d["body"], names, "jump_density.body")
 
@@ -218,7 +213,7 @@ def _parse_jump_density(d, dim):
             out = np.asarray(fn(env), dtype=float)
             return np.broadcast_to(out, (X.shape[0],)).astype(float)
 
-        return JumpDensity(fn=call, lipschitz_bound=d.get("lipschitz", 0.0))
+        return JumpDensity(fn=call)
     raise ValidationError("jump_density.type", f"unknown type {kind!r}")
 
 
@@ -372,8 +367,7 @@ def build_spec(raw):
 
     _expect_keys(raw.get("quadrature", {}), "quadrature", (),
                  ("delta", "r", "n_per_decade"))
-    _expect_keys(raw.get("solver", {}), "solver", (),
-                 ("tol_update_factor", "tol_res_factor", "max_iter"))
+    _expect_keys(raw.get("solver", {}), "solver", (), ("max_iter",))
     sde = raw.get("sde", {})
     _expect_keys(sde, "sde", (), ("dt", "t_max", "jump_truncation"))
     _check_settings(raw.get("solver", {}), sde)
@@ -395,11 +389,10 @@ def build_spec(raw):
             raise ValidationError("jump_density",
                                   "s(x, z) must take values in [0, 1]")
 
-    arr = np.asarray(normalized["eps_schedule"], dtype=float)
-    if arr.size == 0 or np.any(arr <= 0) or np.any(arr >= 1) \
-            or np.any(np.diff(arr) >= 0):
-        raise ValidationError(
-            "eps_schedule", "must be strictly decreasing within (0, 1)")
+    try:
+        arr = check_eps_schedule(normalized["eps_schedule"])
+    except ValueError as exc:
+        raise ValidationError("eps_schedule", str(exc)) from exc
 
     q_val = raw.get("q")
     if q_val is not None and (not isinstance(q_val, (int, float))

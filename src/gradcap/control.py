@@ -286,11 +286,12 @@ class CostEstimate:
 
 @dataclass
 class Path:
-    times: np.ndarray
-    states: np.ndarray
+    """How one path stopped: at its first state outside the domain
+    (`exited`) or at the horizon, its clock then, and its discounted cost."""
+
     exited: bool
     exit_time: float
-    cost: float = 0.0
+    cost: float
 
 
 @dataclass
@@ -361,15 +362,14 @@ class SingularControlSpec:
         return rate, n, np.asarray(g_cost(X), dtype=float) * rate
 
 
-def _simulate_pool(params, jobs, record=False):
+def _simulate_pool(params, jobs):
     """Advance every path of every job to exit or horizon in one slot pool.
 
     `jobs` lists `(control, x0, n_paths, base_seed)`; path i of a job is
-    seeded `base_seed + i`.  Returns one dict per job: the discounted costs
-    and the final states in path order (an exited path keeps its first
-    state outside the domain), and the largest push rate its paths saw.
-    With `record`, the one path of the one job also returns its trajectory
-    as "path".
+    seeded `base_seed + i`.  Returns one dict per job, in path order: the
+    discounted costs, the final states (an exited path keeps its first
+    state outside the domain), whether each path exited and the step count
+    it stopped at; and the largest push rate its paths saw.
 
     The pool has about `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots.
     A slot holds one path: its generator, its step counter k (its clock is
@@ -423,6 +423,8 @@ def _simulate_pool(params, jobs, record=False):
     cost_out = np.zeros(n_total)
     final_out = np.empty((n_total, d))
     rate_out = np.zeros(n_total)
+    exited_out = np.zeros(n_total, dtype=bool)
+    steps_out = np.zeros(n_total, dtype=int)
 
     # the discount at each step, computed as exp(-q t) with t = k dt
     disc = np.array([np.exp(-q * (k * dt)) for k in range(n_steps)])
@@ -475,7 +477,6 @@ def _simulate_pool(params, jobs, record=False):
     for c in range(len(controls)):
         for e in range(bounds[c], bounds[c + 1]):
             enter(e, c, 0)
-    traj_t, traj_x = ([0.0], [x[0].copy()]) if record else (None, None)
     it = 0
     while k.size:
         col = it % chunk
@@ -529,9 +530,6 @@ def _simulate_pool(params, jobs, record=False):
 
         inside = params.domain.contains_batch(x)
         k += 1
-        if record:
-            traj_t.append(k[0] * dt)
-            traj_x.append(x[0].copy())
         done = ~inside
         if it + 1 >= n_steps:
             done |= k == n_steps
@@ -543,6 +541,8 @@ def _simulate_pool(params, jobs, record=False):
         cost_out[p] = cost[done]
         final_out[p] = x.take(done, axis=0)
         rate_out[p] = rmax[done]
+        exited_out[p] = ~inside[done]
+        steps_out[p] = k[done]
         vacant = []
         for e in done:
             s = slot[e]
@@ -562,25 +562,23 @@ def _simulate_pool(params, jobs, record=False):
                                       for arr in (slot, k, x, cost, rmax))
             bounds = [0, *accumulate(live)]
 
-    results = [{
+    return [{
         "cost": cost_out[lo:hi].copy(),
         "final": final_out[lo:hi].copy(),
+        "exited": exited_out[lo:hi].copy(),
+        "steps": steps_out[lo:hi].copy(),
         "max_rate": float(np.max(rate_out[lo:hi])),
     } for lo, hi in zip(offsets[:-1], offsets[1:])]
-    if record:
-        # the one path ended its last step outside, or at the horizon
-        exited = not inside[0]
-        results[0]["path"] = Path(
-            times=np.array(traj_t), states=np.array(traj_x), exited=exited,
-            exit_time=float(traj_t[-1] if exited else params.t_max),
-            cost=float(cost_out[0]))
-    return results
 
 
 def simulate_path(params, control, x0, seed):
-    """Single trajectory under any control."""
-    return _simulate_pool(params, [(control, x0, 1, seed)],
-                          record=True)[0]["path"]
+    """One path under any control, seeded `seed`, as a `Path`."""
+    out, = _simulate_pool(params, [(control, x0, 1, seed)])
+    exited = bool(out["exited"][0])
+    return Path(exited=exited,
+                exit_time=float(out["steps"][0] * params.dt if exited
+                                else params.t_max),
+                cost=float(out["cost"][0]))
 
 
 def estimate_jobs(params, jobs):

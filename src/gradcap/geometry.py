@@ -18,9 +18,6 @@ from .errors import GridMismatch, SpacingTooCoarse
 INTERIOR = 0
 EXTERIOR = 1
 
-INSIDE = "inside"
-OUTSIDE = "outside"
-
 
 def _as_vector(x, dim=None):
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -100,11 +97,6 @@ class Ball:
         pts = np.asarray(pts, dtype=float)
         r = np.linalg.norm(pts - np.array(self.center), axis=-1)
         return r < self.radius
-
-
-def classify_point(domain, x):
-    """Inside iff x belongs to the open set O; boundary points are Outside."""
-    return INSIDE if domain.contains(x) else OUTSIDE
 
 
 class Grid:
@@ -254,8 +246,3 @@ class SolutionField:
 
     def value_extended(self, x):
         return float(self.values_extended(_as_vector(x, self.grid.dim)[None, :])[0])
-
-
-def field_value_extended(field, x):
-    """Zero outside O exactly; multilinear interpolation of grid values inside."""
-    return field.value_extended(x)

@@ -28,6 +28,16 @@ _STAGNATION_RTOL = 0.02
 _MAX_SUBSTEPS = 4
 
 
+def check_eps_schedule(schedule):
+    """The schedule as a float array; raises ValueError unless it is
+    nonempty and strictly decreasing within (0, 1)."""
+    arr = np.asarray(schedule, dtype=float)
+    if arr.size == 0 or np.any(arr <= 0) or np.any(arr >= 1) \
+            or np.any(np.diff(arr) >= 0):
+        raise ValueError("must be strictly decreasing within (0, 1)")
+    return arr
+
+
 @dataclass
 class HjbOptions:
     nidd: SolverOptions = field(default_factory=SolverOptions)
@@ -106,12 +116,8 @@ def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
 def solve_hjb(problem, eps_schedule=None, opts=None):
     """Warm-started continuation over a strictly decreasing eps schedule."""
     opts = opts or HjbOptions()
-    schedule = tuple(eps_schedule if eps_schedule is not None
-                     else DEFAULT_EPS_SCHEDULE)
-    arr = np.asarray(schedule, dtype=float)
-    if arr.size == 0 or np.any(arr <= 0) or np.any(arr >= 1) \
-            or np.any(np.diff(arr) >= 0):
-        raise ValueError("eps schedule must be strictly decreasing in (0,1)")
+    arr = check_eps_schedule(eps_schedule if eps_schedule is not None
+                             else DEFAULT_EPS_SCHEDULE)
 
     h2 = problem.grid.h ** 2
     trace = []

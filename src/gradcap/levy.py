@@ -59,48 +59,38 @@ class CompoundPoisson:
                 raise ValueError("atoms must have nonzero jump size")
             norm.append((tuple(zv), float(m)))
         object.__setattr__(self, "atoms", tuple(norm))
+        # the atoms as arrays: sizes (n, d), masses and jump lengths
+        Z = np.array([z for z, _ in norm], dtype=float).reshape(len(norm),
+                                                                self.dim)
+        object.__setattr__(self, "_Z", Z)
+        object.__setattr__(self, "_m", np.array([m for _, m in norm]))
+        object.__setattr__(self, "_r", np.linalg.norm(Z, axis=1))
 
     @property
     def dim(self):
         return len(self.atoms[0][0]) if self.atoms else 1
 
-    def _z_array(self):
-        if not self.atoms:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        Z = np.array([z for z, _ in self.atoms], dtype=float)
-        m = np.array([m for _, m in self.atoms], dtype=float)
-        return Z, m
-
     def moment_values(self):
-        Z, m = self._z_array()
-        r = np.linalg.norm(Z, axis=1) if Z.size else np.zeros(0)
+        m, r = self._m, self._r
         fm = float(np.sum(m[r < 1.0] * r[r < 1.0]))
         ml = float(np.sum(m[r >= 1.0]))
         return fm, ml
 
     def intensity_above(self, delta):
-        Z, m = self._z_array()
-        r = np.linalg.norm(Z, axis=1) if Z.size else np.zeros(0)
-        return float(np.sum(m[r >= delta]))
+        return float(np.sum(self._m[self._r >= delta]))
 
     def small_first_moment(self, delta):
-        Z, m = self._z_array()
-        r = np.linalg.norm(Z, axis=1) if Z.size else np.zeros(0)
-        keep = r < delta
-        return float(np.sum(m[keep] * r[keep]))
+        keep = self._r < delta
+        return float(np.sum(self._m[keep] * self._r[keep]))
 
     def quadrature_nodes(self, delta, R, n_per_decade):
         # explicit atoms pass through untouched; tail cutoff never drops one
-        Z, m = self._z_array()
-        r = np.linalg.norm(Z, axis=1) if Z.size else np.zeros(0)
-        keep = r >= delta
-        return Z[keep], m[keep]
+        keep = self._r >= delta
+        return self._Z[keep], self._m[keep]
 
     def sample_sizes(self, rng, n, delta):
-        Z, m = self._z_array()
-        r = np.linalg.norm(Z, axis=1) if Z.size else np.zeros(0)
-        keep = r >= delta
-        Z, m = Z[keep], m[keep]
+        keep = self._r >= delta
+        Z, m = self._Z[keep], self._m[keep]
         idx = rng.choice(len(m), size=n, p=m / m.sum())
         return Z[idx]
 
@@ -144,27 +134,24 @@ class BVDensity:
     def dim(self):
         return len(self.rays[0])
 
-    def _ray_mass(self, a, b):
-        return _radial_integral(0, self.kappa, self.alpha, self.lambda_temper,
-                                a, b)
-
-    def _ray_first_moment(self, a, b):
-        return _radial_integral(1, self.kappa, self.alpha, self.lambda_temper,
-                                a, b)
+    def _ray_moment(self, power, a, b):
+        """Mass (power 0) or first moment (power 1) of one ray on [a, b]."""
+        return _radial_integral(power, self.kappa, self.alpha,
+                                self.lambda_temper, a, b)
 
     def moment_values(self):
-        fm = self._ray_first_moment(self.z_min, min(1.0, self.z_max))
-        ml = self._ray_mass(max(self.z_min, 1.0), self.z_max)
+        fm = self._ray_moment(1, self.z_min, min(1.0, self.z_max))
+        ml = self._ray_moment(0, max(self.z_min, 1.0), self.z_max)
         n = len(self.rays)
         return n * fm, n * ml
 
     def intensity_above(self, delta):
         a = max(delta, self.z_min)
-        return len(self.rays) * self._ray_mass(a, self.z_max)
+        return len(self.rays) * self._ray_moment(0, a, self.z_max)
 
     def small_first_moment(self, delta):
         # conservative bound: integrate the ideal density from 0
-        return len(self.rays) * self._ray_first_moment(0.0, delta)
+        return len(self.rays) * self._ray_moment(1, 0.0, delta)
 
     def quadrature_nodes(self, delta, R, n_per_decade):
         a = max(delta, self.z_min)
@@ -218,13 +205,10 @@ class JumpDensity:
     """State-dependent thinning factor s(x, z) in [0, 1].
 
     `fn` is vectorized: fn(X, z) takes X of shape (n, d) and one offset z,
-    returning n values.  `lipschitz_bound` records the declared Lipschitz
-    constant in x (the config's `lipschitz`); nothing checks it against
-    `fn` and no computation reads it.
+    returning n values.
     """
 
     fn: object
-    lipschitz_bound: float = 0.0
 
     def eval(self, X, z):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -236,8 +220,7 @@ def constant_density(value=1.0):
     v = float(value)
     if not 0.0 <= v <= 1.0:
         raise ValueError("jump density must take values in [0, 1]")
-    return JumpDensity(fn=lambda X, z: np.full(X.shape[0], v),
-                       lipschitz_bound=0.0)
+    return JumpDensity(fn=lambda X, z: np.full(X.shape[0], v))
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,14 @@ from .penalty import PenaltyFn
 
 # slack of the a priori sandwich 0 <= u <= C1 checked on every solution
 _SANDWICH_TOL = 1e-8
+# converged once the update is below _TOL_UPDATE_FACTOR (1 + max |u|) and
+# the residual below _TOL_RES_FACTOR (1 + max |h|)
+_TOL_UPDATE_FACTOR = 1e-8
+_TOL_RES_FACTOR = 1e-6
 
 
 @dataclass
 class SolverOptions:
-    tol_update_factor: float = 1e-8
-    tol_res_factor: float = 1e-6
     max_iter: int = 500
 
 
@@ -168,7 +170,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
     g_int = problem.g_interior()
 
     h_scale = float(np.max(np.abs(h_int))) if h_int.size else 0.0
-    tol_res = opts.tol_res_factor * (1.0 + h_scale)
+    tol_res = _TOL_RES_FACTOR * (1.0 + h_scale)
 
     bound_c1 = problem.bound_c1()
 
@@ -192,7 +194,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
 
     while iterations < opts.max_iter:
         u_scale = 1.0 + float(np.max(np.abs(u))) if u.size else 1.0
-        tol_update = opts.tol_update_factor * u_scale
+        tol_update = _TOL_UPDATE_FACTOR * u_scale
         if update <= tol_update and res <= tol_res:
             break
         iterations += 1
@@ -256,7 +258,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
         eps=eps,
     )
     u_scale = 1.0 + abs(report.max_value)
-    if not (update <= opts.tol_update_factor * u_scale and res <= tol_res):
+    if not (update <= _TOL_UPDATE_FACTOR * u_scale and res <= tol_res):
         report.converged = False
         head = _STOP_MESSAGES[stop].format(
             n=iterations)

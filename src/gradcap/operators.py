@@ -89,8 +89,8 @@ class Coefficients:
 
 
 def _interior_neighbors(grid):
-    """For each axis, row/column/stencil bookkeeping used by gradient ops."""
-    n_int = grid.n_interior
+    """For each axis, the flat lattice indices of the plus and minus
+    neighbors of every interior node and whether each is interior."""
     classes = grid.classes.ravel()
     multis = np.array(np.unravel_index(grid.interior_flat, grid.shape)).T
     info = []
@@ -101,7 +101,7 @@ def _interior_neighbors(grid):
         minus = np.ravel_multi_index((multis - step).T, grid.shape)
         info.append((plus, minus,
                      classes[plus] == INTERIOR, classes[minus] == INTERIOR))
-    return multis, info
+    return info
 
 
 def build_gradient_ops(grid):
@@ -112,7 +112,7 @@ def build_gradient_ops(grid):
     outside the interior set carry value 0 and drop out.
     """
     n_int = grid.n_interior
-    _, info = _interior_neighbors(grid)
+    info = _interior_neighbors(grid)
     h = grid.h
     ops = []
     rows_idx = np.arange(n_int)
@@ -165,7 +165,7 @@ def build_local_matrix(coeffs, grid):
     X = grid.interior_points()
     n_int = grid.n_interior
     h2 = grid.h ** 2
-    multis, info = _interior_neighbors(grid)
+    info = _interior_neighbors(grid)
     b_vals = coeffs.b(X)
     c_vals = coeffs.c(X)
     rows_idx = np.arange(n_int)
@@ -289,7 +289,6 @@ class OperatorMatrix:
     local_part: sp.csr_matrix
     jump_gather: sp.csr_matrix
     jump_mass: np.ndarray
-    quad: object
 
     def __post_init__(self):
         self._cache = {}
@@ -344,7 +343,7 @@ def assemble_linear_system(coeffs, s, quad, grid):
     local = build_local_matrix(coeffs, grid)
     J, D = build_nonlocal_parts(s, quad, grid)
     return OperatorMatrix(grid=grid, local_part=local, jump_gather=J,
-                          jump_mass=D, quad=quad)
+                          jump_mass=D)
 
 
 def _check_same_grid(grid, field):
@@ -363,7 +362,7 @@ def apply_L(coeffs, field):
     v = field.values
     h = grid.h
     X = grid.interior_points()
-    multis, info = _interior_neighbors(grid)
+    info = _interior_neighbors(grid)
     flat = grid.interior_flat
     vflat = v.ravel()
     u0 = vflat[flat]

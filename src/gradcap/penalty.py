@@ -73,36 +73,29 @@ class PenaltyFn:
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
 
-    def psi(self, r):
+    def _piecewise(self, r, linear, smooth):
+        """0 for r <= 0, `linear(r)` for r >= 2 eps and `smooth(r / eps)`
+        in between; a float for a scalar r."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         out = np.zeros_like(r)
         lin = r >= 2.0 * self.eps
-        out[lin] = (r[lin] - self.eps) / self.eps
+        out[lin] = linear(r[lin])
         mid = (r > 0.0) & ~lin
-        out[mid] = _H(r[mid] / self.eps)
+        out[mid] = smooth(r[mid] / self.eps)
         return float(out[0]) if scalar else out
+
+    def psi(self, r):
+        return self._piecewise(r, lambda r: (r - self.eps) / self.eps, _H)
 
     def psi_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.zeros_like(r)
-        lin = r >= 2.0 * self.eps
-        out[lin] = 1.0 / self.eps
-        mid = (r > 0.0) & ~lin
-        out[mid] = blend(r[mid] / self.eps) / self.eps
-        return float(out[0]) if scalar else out
+        return self._piecewise(r, lambda r: 1.0 / self.eps,
+                               lambda y: blend(y) / self.eps)
 
     def psi_double_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.zeros_like(r)
-        mid = (r > 0.0) & (r < 2.0 * self.eps)
-        out[mid] = blend_deriv(r[mid] / self.eps) / self.eps**2
-        return float(out[0]) if scalar else out
+        return self._piecewise(r, lambda r: 0.0,
+                               lambda y: blend_deriv(y) / self.eps**2)
 
     def legendre(self, g_at_x, eta_norm):
         """sup_{m >= 0} { m * eta_norm - psi(m^2 - g^2) } by golden section.

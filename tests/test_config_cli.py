@@ -254,6 +254,41 @@ def test_cli_solve_hjb_writes_report(tmp_path):
     assert len(report["eps_trace"]) >= 1
 
 
+def test_cli_json_artifact_keys(tmp_path):
+    """Each JSON artifact carries exactly these keys, so a field added to a
+    report dataclass shows here as a schema change."""
+    from gradcap.cli import main
+    cfg = str(small_config(tmp_path))
+    field = str(tmp_path / "u.csv")
+    out = {name: tmp_path / f"{name}.json"
+           for name in ("nidd", "hjb", "residual", "simulate")}
+    assert main(["solve-nidd", "--config", cfg, "--eps", "0.1",
+                 "--out", field, "--report", str(out["nidd"])]) == 0
+    assert main(["solve-hjb", "--config", cfg,
+                 "--out", str(tmp_path / "hjb.csv"),
+                 "--report", str(out["hjb"])]) == 0
+    assert main(["residual", "--config", cfg, "--field", field,
+                 "--out", str(out["residual"])]) == 0
+    assert main(["simulate", "--config", str(short_control_config(tmp_path)),
+                 "--policy", "null", "--x0", "0.0", "--paths", "20",
+                 "--out", str(out["simulate"])]) == 0
+    keys = {name: set(json.loads(path.read_text()))
+            for name, path in out.items()}
+    assert keys == {
+        "nidd": {"config_hash", "eps", "iterations", "residual_sup",
+                 "final_update_norm", "bound_C1", "min_value", "max_value",
+                 "grad_sup", "converged"},
+        "hjb": {"config_hash", "eps_trace", "residual_pde_pos",
+                "residual_grad_pos", "complementarity", "active_set_fraction",
+                "grad_sup", "bound_C1", "iterations_total"},
+        "residual": {"config_hash", "pde_pos", "grad_pos", "complementarity",
+                     "active_set_fraction"},
+        "simulate": {"config_hash", "policy", "x0", "mean", "stderr",
+                     "n_paths", "seed", "dt", "discarded_bias_bound",
+                     "max_rate_observed"},
+    }
+
+
 def test_csv_float_precision_lossless(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "u.csv"
@@ -380,6 +415,11 @@ def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
      ["--x0", "0.0", "--rate-controls", "-0.5"]),
     (["verify", "--mode", "singular"],
      ["--x0", "0.0", "--rate-controls", "nan"]),
+    (["simulate", "--policy", "null"], ["--x0", "nan"]),
+    (["simulate", "--policy", "null"], ["--x0", "1.5"]),
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--seed", "-5"]),
+    (["verify", "--mode", "singular"], ["--x0", "0.0", "--x0", "1.0"]),
+    (["verify", "--mode", "singular"], ["--x0", "0.0", "--seed", "-5"]),
 ])
 def test_cli_bad_monte_carlo_input_exit_2(tmp_path, capsys, cmd, bad):
     from gradcap.cli import main

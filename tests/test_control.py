@@ -58,6 +58,18 @@ def test_constant_rate_shifts_crossing():
     assert abs(p.exit_time - 1.2) <= par.dt + 1e-12
 
 
+def test_path_reaching_the_horizon():
+    # no drift and no noise: the path stays at x0 and pays h = 1 until
+    # t_max, which is no multiple of dt, so it differs from the last k dt
+    par = flat_params(t_max=1.9995)
+    p = ctl.simulate_path(par, null(), np.array([0.0]), 1)
+    assert not p.exited
+    assert p.exit_time == par.t_max
+    n = int(np.ceil(par.t_max / par.dt))
+    oracle = par.dt * np.sum(np.exp(-par.q * par.dt * np.arange(n)))
+    assert p.cost == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 def test_discounted_integral_oracle():
     par = flat_params()
     est = estimate(par, null(), np.array([0.0]), 32, 0)

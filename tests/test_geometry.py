@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcap.errors import SpacingTooCoarse
-from gradcap.geometry import (EXTERIOR, INSIDE, INTERIOR, OUTSIDE, Ball, Box,
-                              SolutionField, build_grid, classify_point,
-                              field_value_extended)
+from gradcap.geometry import (EXTERIOR, INTERIOR, Ball, Box, SolutionField,
+                              build_grid)
 
 
 def test_box_lattice_and_interior():
@@ -31,9 +30,9 @@ def test_spacing_too_coarse():
 
 def test_classify_point_examples():
     box = Box(lo=(-1,), hi=(1,))
-    assert classify_point(box, 0.0) == INSIDE
-    assert classify_point(box, 1.0) == OUTSIDE  # boundary is outside the open set
-    assert classify_point(Ball(center=(0, 0), radius=1.0), (1, 1)) == OUTSIDE
+    assert box.contains(0.0)
+    assert not box.contains(1.0)  # boundary is outside the open set
+    assert not Ball(center=(0, 0), radius=1.0).contains((1, 1))
 
 
 def test_partition_property():
@@ -53,7 +52,7 @@ def test_zero_extension_exact():
     rng = np.random.default_rng(3)
     f = SolutionField(g, rng.standard_normal(g.shape))
     for x in [1.0, -1.0, 1.5, -2.3]:
-        assert field_value_extended(f, x) == 0.0
+        assert f.value_extended(x) == 0.0
 
 
 def test_interpolation_of_constants_and_linear():

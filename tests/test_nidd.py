@@ -12,9 +12,10 @@ from gradcap.errors import (MaxIterationsExceeded, NotApplicable,
 from gradcap.geometry import Box, SolutionField, build_grid
 from gradcap.hjb import solve_hjb
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
-from gradcap.nidd import (SolverOptions, _check_linear_residual,
-                          _newton_direction, comparison_check,
-                          solve_linear_dirichlet, solve_nidd)
+from gradcap.nidd import (_TOL_UPDATE_FACTOR, SolverOptions,
+                          _check_linear_residual, _newton_direction,
+                          comparison_check, solve_linear_dirichlet,
+                          solve_nidd)
 from gradcap.operators import Coefficients, interior_gradient
 from gradcap.penalty import PenaltyFn
 from gradcap.problem import Problem
@@ -242,7 +243,7 @@ def test_fixed_point_consistency_at_termination():
     arg = np.sum(grads**2, axis=1) - probT.g_interior() ** 2
     rhsT = probT.h_interior() - PenaltyFn(0.1).psi(arg)
     tuT = solve_linear_dirichlet(probT.matrix(), rhsT).interior_vector()
-    bound = 10 * opts.tol_update_factor * (1 + np.max(np.abs(uT)))
+    bound = 10 * _TOL_UPDATE_FACTOR * (1 + np.max(np.abs(uT)))
     assert np.max(np.abs(tuT - uT)) <= max(bound, 1e-6)
 
 

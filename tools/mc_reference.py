@@ -7,13 +7,17 @@ and compare the outputs with `diff`.
 
 `--src` names the directory that holds the `gradcap` package (default: the
 `src` of this checkout).  The CLI cases print the sha256 of each artifact:
-`simulate` (null, constant and penalized policies) and `verify` (penalized
-and singular modes) JSON on `example_1d_control`, and the `solve-hjb` CSV
-of every shipped config.  The library cases print the mean, standard error
-and largest push rate in hex of 2D estimates: penalized verification with
-compound-Poisson jumps, an impulse along (1, 1), a callable rate, and a
-pooled call of several controls at two start points.  Every control direction
-is a unit vector.  The whole run takes about 20 s on two cores.
+the `solve-hjb` CSV and report of every shipped config; on
+`example_1d_control`, the `solve-nidd` report at eps 0.1, the `residual`
+JSON of that field, `simulate` (null, constant and penalized policies) and
+`verify` (penalized and singular modes) JSON; and the report of a
+`solve-nidd` run that does not converge (`example_1d_tight` at eps 1e-4).
+The library cases print the mean, standard error and largest push rate in
+hex of 2D estimates: penalized verification with compound-Poisson jumps, an
+impulse along (1, 1), a callable rate, and a pooled call of several controls
+at two start points; and the exit flag, exit time and cost of one
+`simulate_path` under the impulse control.  Every control direction is a
+unit vector.  The whole run takes about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -45,12 +49,28 @@ def cli_cases(out):
 
     for cfg in sorted(CONFIGS.glob("*.json")):
         csv = out / f"{cfg.stem}_u.csv"
-        code = main(["solve-hjb", "--config", str(cfg), "--out", str(csv)])
-        yield f"solve-hjb {cfg.stem} exit={code} {_sha(csv)}"
+        report = out / f"{cfg.stem}_hjb.json"
+        code = main(["solve-hjb", "--config", str(cfg), "--out", str(csv),
+                     "--report", str(report)])
+        yield (f"solve-hjb {cfg.stem} exit={code} {_sha(csv)} "
+               f"report={_sha(report)}")
+
+    tight = str(CONFIGS / "example_1d_tight.json")
+    report = out / "tight_nidd.json"
+    code = main(["solve-nidd", "--config", tight, "--eps", "0.0001",
+                 "--out", str(out / "tight_u.csv"), "--report", str(report)])
+    yield f"solve-nidd tight eps=0.0001 exit={code} report={_sha(report)}"
 
     cfg = str(CONFIGS / "example_1d_control.json")
     field = str(out / "u_eps.csv")
-    main(["solve-nidd", "--config", cfg, "--eps", "0.1", "--out", field])
+    report = out / "u_eps.json"
+    code = main(["solve-nidd", "--config", cfg, "--eps", "0.1", "--out", field,
+                 "--report", str(report)])
+    yield f"solve-nidd control eps=0.1 exit={code} report={_sha(report)}"
+    residual = out / "residual.json"
+    code = main(["residual", "--config", cfg, "--field", field,
+                 "--out", str(residual)])
+    yield f"residual control exit={code} {_sha(residual)}"
     common = ["--config", cfg, "--paths", str(PATHS), "--seed", "42"]
     runs = {
         "simulate null": ["simulate", "--policy", "null", "--x0", "0.0"],
@@ -121,6 +141,10 @@ def library_cases():
     for name, control in alone.items():
         est, = ctl.estimate_jobs(params, [(control, x0s[1], PATHS, 7)])
         yield f"2d {name} {_hex(est)}"
+    path = ctl.simulate_path(params, impulse, x0s[1], 7)
+    yield (f"2d impulse (1,1) path exited={path.exited} "
+           f"exit_time={float(path.exit_time).hex()} "
+           f"cost={float(path.cost).hex()}")
 
     controls = [
         ctl.SingularControlSpec(n=(1.0, 0.0), rate=0.0),
