@@ -165,11 +165,8 @@ def cmd_residual(args):
 
 
 def _sde_params(spec):
-    if spec.q is None:
-        raise ValidationError("q", "simulation requires a discount q")
     try:
-        return ctl.sde_from_problem(spec.problem, spec.q, levy=spec.levy,
-                                    **spec.sde)
+        return ctl.sde_from_problem(spec.problem, **spec.sde)
     except ValueError as exc:
         raise ValidationError("sde", str(exc)) from exc
 
@@ -215,13 +212,23 @@ def _penalized_eps(eps, what):
     return eps
 
 
+# the options each policy reads; it rejects any other of them
+_POLICY_OPTIONS = {"penalized": ("field", "eps"), "null": (),
+                   "constant": ("eps", "rate", "direction")}
+
+
 def cmd_simulate(args):
     _check_sampling(args)
+    for option in ("field", "eps", "rate", "direction"):
+        if getattr(args, option) is not None \
+                and option not in _POLICY_OPTIONS[args.policy]:
+            raise ValidationError(option, f"--policy {args.policy} does not "
+                                  f"read --{option}")
     spec = load_config(args.config)
     params = _sde_params(spec)
     if len(args.x0) != 1:
         raise ValidationError("x0", "simulate takes exactly one --x0")
-    x0, = _parse_x0(args.x0, spec.domain)
+    x0, = _parse_x0(args.x0, spec.grid.domain)
     if args.policy == "penalized":
         if not args.field:
             raise ValidationError("policy", "penalized policy needs --field")
@@ -231,17 +238,16 @@ def cmd_simulate(args):
     elif args.policy == "null":
         # a zero rate pushes nowhere and costs nothing
         policy = ctl.SingularControlSpec(n=(1.0,) * spec.grid.dim)
-    elif args.policy == "constant":
+    else:
         eps = _penalized_eps(args.eps, "constant policy")
         direction = _floats(args.direction, "direction", spec.grid.dim) \
             if args.direction else [1.0] * spec.grid.dim
         try:
-            policy = ctl.ConstantRate(n=tuple(direction), rate=args.rate,
-                                      eps=eps)
+            policy = ctl.ConstantRate(
+                n=tuple(direction), eps=eps,
+                rate=0.0 if args.rate is None else args.rate)
         except ValueError as exc:
             raise ValidationError("policy", str(exc)) from exc
-    else:
-        raise ValidationError("policy", f"unknown policy {args.policy!r}")
     est, = ctl.estimate_jobs(params, [(policy, x0, args.paths, args.seed)])
     _write_json(args.out, {
         "config_hash": spec.config_hash,
@@ -256,7 +262,7 @@ def cmd_verify(args):
     spec = load_config(args.config)
     params = _sde_params(spec)
     fld = read_field_csv(args.field, spec)
-    x0_list = _parse_x0(args.x0, spec.domain)
+    x0_list = _parse_x0(args.x0, spec.grid.domain)
     if args.mode == "penalized":
         eps = _penalized_eps(args.eps, "penalized mode")
         rep = ctl.verify_value_equality(
@@ -329,7 +335,7 @@ def build_parser():
     sm.add_argument("--x0", action="append", required=True)
     sm.add_argument("--paths", type=int, default=10000)
     sm.add_argument("--seed", type=int, default=42)
-    sm.add_argument("--rate", type=float, default=0.0)
+    sm.add_argument("--rate", type=float)
     sm.add_argument("--direction")
     sm.add_argument("--out", required=True)
     sm.set_defaults(func=cmd_simulate)

@@ -233,7 +233,7 @@ def _parse_matrix_field(value, dim, field_path):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.broadcast_to(mat, (X.shape[0], dim, dim)).copy()
 
-    return call, mat
+    return call
 
 
 def _parse_vector_field(value, dim, field_path):
@@ -252,30 +252,22 @@ def _parse_vector_field(value, dim, field_path):
 
 
 def _parse_coefficients(d, dim):
-    _expect_keys(d, "coefficients", ("a", "b", "c", "h", "g"), ("theta",))
-    a_fn, a_mat = _parse_matrix_field(d["a"], dim, "coefficients.a")
+    _expect_keys(d, "coefficients", ("a", "b", "c", "h", "g"))
+    a_fn = _parse_matrix_field(d["a"], dim, "coefficients.a")
     b_fn = _parse_vector_field(d["b"], dim, "coefficients.b")
     c_fn = _scalar_field(d["c"], dim, "coefficients.c")
     h_fn = _scalar_field(d["h"], dim, "coefficients.h")
     g_fn = _scalar_field(d["g"], dim, "coefficients.g")
-    theta = d.get("theta")
-    if theta is None:
-        theta = 0.999 * float(np.min(np.linalg.eigvalsh(a_mat)))
-    if theta <= 0:
-        raise ValidationError("coefficients.theta",
-                              "ellipticity floor must be positive")
-    return Coefficients(a=a_fn, b=b_fn, c=c_fn, h=h_fn, g=g_fn,
-                        theta=float(theta), dim=dim)
+    return Coefficients(a=a_fn, b=b_fn, c=c_fn, h=h_fn, g=g_fn)
 
 
 @dataclass
 class ProblemSpec:
-    """Validated problem: geometry, operator data, schedules, SDE settings."""
+    """Validated problem: geometry, operator data, schedules, SDE settings;
+    `q` is c if c is one constant (the simulated discount), else None."""
 
-    domain: object
     grid: object
     problem: Problem
-    levy: object
     eps_schedule: tuple
     solver_options: SolverOptions
     q: float
@@ -299,10 +291,14 @@ class ProblemSpec:
     def quad(self):
         return self.problem.quad
 
+    @property
+    def levy(self):
+        return self.problem.quad.levy
+
 
 _TOP_KEYS_REQ = ("domain", "h", "coefficients")
 _TOP_KEYS_OPT = ("levy", "jump_density", "quadrature", "eps_schedule",
-                 "solver", "q", "sde")
+                 "solver", "sde")
 
 
 def _normalize(raw):
@@ -321,7 +317,6 @@ def _normalize(raw):
         },
         "eps_schedule": raw.get("eps_schedule", list(DEFAULT_EPS_SCHEDULE)),
         "solver": raw.get("solver", {}),
-        "q": raw.get("q"),
         "sde": raw.get("sde", {}),
     }
     return out
@@ -369,7 +364,7 @@ def build_spec(raw):
                  ("delta", "r", "n_per_decade"))
     _expect_keys(raw.get("solver", {}), "solver", (), ("max_iter",))
     sde = raw.get("sde", {})
-    _expect_keys(sde, "sde", (), ("dt", "t_max", "jump_truncation"))
+    _expect_keys(sde, "sde", (), ("dt", "t_max"))
     _check_settings(raw.get("solver", {}), sde)
     normalized = _normalize(raw)
 
@@ -394,20 +389,14 @@ def build_spec(raw):
     except ValueError as exc:
         raise ValidationError("eps_schedule", str(exc)) from exc
 
-    q_val = raw.get("q")
-    if q_val is not None and (not isinstance(q_val, (int, float))
-                              or q_val <= 0):
-        raise ValidationError("q", "discount must be positive")
-
     problem = Problem(grid, coeffs, s, quad)
     blob = json.dumps(normalized, sort_keys=True,
                       separators=(",", ":")).encode()
     return ProblemSpec(
-        domain=domain, grid=grid, problem=problem, levy=levy,
+        grid=grid, problem=problem,
         eps_schedule=tuple(float(e) for e in arr),
         solver_options=SolverOptions(**normalized["solver"]),
-        q=float(q_val) if q_val is not None else None,
-        sde=dict(sde), normalized=normalized,
+        q=problem.discount(), sde=dict(sde), normalized=normalized,
         config_hash=hashlib.sha256(blob).hexdigest()[:16],
     )
 

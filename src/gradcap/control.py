@@ -77,7 +77,9 @@ class SdeParams:
     for a bounded-variation measure.  The noise dimension equals the state
     dimension (sigma maps to (n, d, d)).  The engine calls drift, sigma and
     h_cost once per step on the live paths; the sigma of `sde_from_problem`
-    broadcasts one matrix factored in advance.
+    broadcasts one matrix factored in advance.  The horizon cap `t_max`
+    defaults to 14 / q, where the discount e^(-14) ~ 8e-7 makes the bias
+    of the cap negligible.
     """
 
     domain: object
@@ -88,12 +90,14 @@ class SdeParams:
     g_cost: object           # X (n,d) -> (n,)
     levy: object = None
     jump_truncation: float = 1e-3
-    t_max: float = 14.0
+    t_max: float = None
     dt: float = 1e-3
 
     def __post_init__(self):
         if not self.q > 0:
             raise ValueError("discount q must be positive")
+        if self.t_max is None:
+            self.t_max = 14.0 / self.q
         if not self.dt > 0 or not self.t_max > 0:
             raise ValueError("dt and t_max must be positive")
 
@@ -105,31 +109,36 @@ def _matrix_sqrt_batched(A):
     return np.einsum("nij,nj,nkj->nik", V, np.sqrt(w), V)
 
 
-def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
-                     levy=None):
-    """Derive simulation parameters from the operator coefficients.
+def sde_from_problem(problem, q=None, levy=None, jump_truncation=None,
+                     **sde):
+    """Simulation parameters of the process the operator generates.
 
-    Valid only in the constant-discount unit-density regime: c must equal
-    the constant q at every node and the jump density must be identically 1,
-    which is when the operator is the generator of the simulated process
-    (diffusion a = sigma sigma^T / 2, drift b).
-    The diffusion a must also be the same matrix at every interior node, so
-    sigma = sqrt(2a) is factored once here, not at every step.
+    That is the process when c is one constant, the discount q, at every
+    interior node and s is identically 1 (a = sigma sigma^T / 2, drift b).
+    a must also be one matrix at every interior node, so sigma = sqrt(2a)
+    is factored once here, not at every step.  The jump measure and its
+    truncation delta are the quadrature's.  `sde` passes `dt` and `t_max`
+    on to `SdeParams`; `q`, `levy` and `jump_truncation` may restate the
+    problem's values, and one that differs from them raises ValueError.
     """
     grid = problem.grid
     pts = grid.interior_points()
-    c_vals = problem.coeffs.c(pts)
-    if np.max(np.abs(c_vals - q)) > 1e-10 * (1.0 + abs(q)):
-        raise ValueError("simulation requires c constant and equal to q")
+    quad = problem.quad
+    own = {"q": problem.discount(), "levy": quad.levy,
+           "jump_truncation": quad.small_jump_cutoff}
+    if own["q"] is None:
+        raise ValueError("simulation requires constant c")
+    for name, given in zip(own, (q, levy, jump_truncation)):
+        if given is not None and given != own[name]:
+            raise ValueError(f"{name}={given!r} differs from the problem's "
+                             f"{own[name]!r}")
     a_vals = np.asarray(problem.coeffs.a(pts), dtype=float)
     if np.any(a_vals != a_vals[:1]):
         raise ValueError("simulation requires constant a")
     # the operator reads s at every interior point and quadrature node
-    for z in problem.quad.nodes:
+    for z in quad.nodes:
         if np.max(np.abs(problem.s.eval(pts, z) - 1.0)) > 1e-12:
             raise ValueError("simulation requires jump density s identically 1")
-    if t_max is None:
-        t_max = 14.0 / q
 
     coeffs = problem.coeffs
     sig0 = _matrix_sqrt_batched(2.0 * a_vals[:1])[0]
@@ -138,8 +147,7 @@ def sde_from_problem(problem, q, dt=1e-3, t_max=None, jump_truncation=1e-3,
         return np.broadcast_to(sig0, (X.shape[0],) + sig0.shape)
 
     return SdeParams(domain=grid.domain, drift=coeffs.b, sigma=sigma_fn,
-                     q=q, h_cost=coeffs.h, g_cost=coeffs.g, levy=levy,
-                     jump_truncation=jump_truncation, t_max=t_max, dt=dt)
+                     h_cost=coeffs.h, g_cost=coeffs.g, **own, **sde)
 
 
 def _unit(n):

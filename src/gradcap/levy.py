@@ -225,13 +225,16 @@ def constant_density(value=1.0):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for the nonlocal integral over delta <= |z| <= R."""
+    """Nodes and weights for the integral of the measure `levy` (None: no
+    jumps) over delta <= |z| <= R; the operator and the simulation both
+    drop the jumps below delta = `small_jump_cutoff`."""
 
     nodes: np.ndarray      # (n, d)
     weights: np.ndarray    # (n,)
     small_jump_cutoff: float
     tail_cutoff: float
     discarded_small_mass: float
+    levy: object = None
 
     @property
     def total_mass(self):
@@ -255,9 +258,8 @@ def build_quadrature(levy, delta, R, n_per_decade=16):
         raise InvalidCutoffs(f"need 0 < delta < R, got delta={delta}, R={R}")
     if n_per_decade < 4:
         raise ValueError("n_per_decade must be at least 4")
-    if levy is None:
-        levy = CompoundPoisson(atoms=())
-    Z, w = levy.quadrature_nodes(delta, R, n_per_decade)
+    measure = CompoundPoisson(atoms=()) if levy is None else levy
+    Z, w = measure.quadrature_nodes(delta, R, n_per_decade)
     if Z.size:
         tail = max(R, float(np.max(np.linalg.norm(Z, axis=1))))
     else:
@@ -267,7 +269,8 @@ def build_quadrature(levy, delta, R, n_per_decade=16):
         weights=w,
         small_jump_cutoff=delta,
         tail_cutoff=tail,
-        discarded_small_mass=levy.small_first_moment(delta),
+        discarded_small_mass=measure.small_first_moment(delta),
+        levy=levy,
     )
 
 

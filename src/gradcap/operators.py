@@ -32,7 +32,6 @@ class Coefficients:
     """Coefficient fields of the operator, as vectorized callables.
 
     a(X) -> (n, d, d) symmetric; b(X) -> (n, d); c, h, g map X -> (n,).
-    theta is the declared ellipticity floor.
     """
 
     a: object
@@ -40,12 +39,9 @@ class Coefficients:
     c: object
     h: object
     g: object
-    theta: float
-    dim: int
 
     @classmethod
-    def from_constants(cls, dim, a=1.0, b=0.0, c=1.0, h=0.0, g=1.0,
-                       theta=None):
+    def from_constants(cls, dim, a=1.0, b=0.0, c=1.0, h=0.0, g=1.0):
         a_mat = np.asarray(a, dtype=float)
         if a_mat.ndim == 0:
             a_mat = np.eye(dim) * float(a_mat)
@@ -57,13 +53,10 @@ class Coefficients:
         def b_fn(X):
             return np.broadcast_to(b_vec, (X.shape[0], dim)).copy()
 
-        if theta is None:
-            theta = float(np.min(np.linalg.eigvalsh(a_mat)))
         return cls(a=a_fn, b=b_fn,
                    c=_vectorize_scalar(lambda X: float(c)),
                    h=_vectorize_scalar(lambda X: float(h)),
-                   g=_vectorize_scalar(lambda X: float(g)),
-                   theta=float(theta), dim=dim)
+                   g=_vectorize_scalar(lambda X: float(g)))
 
     def validate_on_grid(self, grid):
         """Check the standing sign/ellipticity assumptions at grid nodes."""
@@ -76,16 +69,13 @@ class Coefficients:
             raise ValueError("h must be >= 0 on the grid")
         if np.any(self.g(pts) < 0):
             raise ValueError("g must be >= 0 on the grid")
-        a_vals = self.a(interior)
-        dirs = [np.eye(self.dim)[k] for k in range(self.dim)]
-        if self.dim == 2:
-            dirs += [np.array([1.0, 1.0]) / np.sqrt(2),
-                     np.array([1.0, -1.0]) / np.sqrt(2)]
-        for zeta in dirs:
-            quad_form = np.einsum("nij,i,j->n", a_vals, zeta, zeta)
-            if np.any(quad_form < self.theta - 1e-12):
-                raise EllipticityViolation(
-                    f"<a zeta, zeta> < theta={self.theta} along {zeta}")
+        a = self.a(interior)
+        # Sylvester's criterion for d <= 2: the leading minors a11 and det a
+        det = a[:, 0, 0] if grid.dim == 1 \
+            else a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        if not (np.all(a[:, 0, 0] > 0) and np.all(det > 0)):
+            raise EllipticityViolation(
+                "a must be positive definite at every interior node")
 
 
 def _interior_neighbors(grid):
@@ -153,13 +143,6 @@ def interior_gradient(grid, grad_ops, u_int):
     return np.column_stack([G @ u_int for G in grad_ops])
 
 
-def _a_components(coeffs, X):
-    a_vals = coeffs.a(X)
-    if coeffs.dim == 1:
-        return a_vals[:, 0, 0], None, None
-    return a_vals[:, 0, 0], a_vals[:, 1, 1], a_vals[:, 0, 1]
-
-
 def build_local_matrix(coeffs, grid):
     """Interior rows of -tr[a D^2 u] + <b, D u> + c u as a sparse M-matrix."""
     X = grid.interior_points()
@@ -179,14 +162,15 @@ def build_local_matrix(coeffs, grid):
         cols.append(inrow[keep])
         vals.append(v[keep] if np.ndim(v) else np.full(keep.sum(), v))
 
+    a_vals = coeffs.a(X)
     if grid.dim == 1:
-        a11, _, _ = _a_components(coeffs, X)
+        a11 = a_vals[:, 0, 0]
         if np.any(a11 <= 0):
             raise EllipticityViolation("a must be positive")
         coef_axis = [a11]
         coef_cross = None
     else:
-        a11, a22, a12 = _a_components(coeffs, X)
+        a11, a22, a12 = a_vals[:, 0, 0], a_vals[:, 1, 1], a_vals[:, 0, 1]
         cross = np.abs(a12)
         if np.any(np.minimum(a11, a22) - cross < -1e-14):
             bad = int(np.argmax(cross - np.minimum(a11, a22)))
@@ -370,12 +354,12 @@ def apply_L(coeffs, field):
     c_vals = coeffs.c(X)
     out = c_vals * u0
 
+    a_vals = coeffs.a(X)
     if grid.dim == 1:
-        a11, _, _ = _a_components(coeffs, X)
-        coef_axis = [a11]
+        coef_axis = [a_vals[:, 0, 0]]
         cross = None
     else:
-        a11, a22, a12 = _a_components(coeffs, X)
+        a11, a22, a12 = a_vals[:, 0, 0], a_vals[:, 1, 1], a_vals[:, 0, 1]
         cr = np.abs(a12)
         coef_axis = [a11 - cr, a22 - cr]
         cross = (a12, cr)

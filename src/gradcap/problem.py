@@ -39,6 +39,12 @@ class Problem:
             self._c1 = float(np.max(v.values))
         return self._c1
 
+    def discount(self):
+        """The value of c if it is one constant at every interior node, else
+        None: the discount of the process the operator generates."""
+        c = self.coeffs.c(self.grid.interior_points())
+        return float(c[0]) if np.all(c == c[0]) else None
+
     def grad_ops(self):
         if self._grad_ops is None:
             self._grad_ops = build_gradient_ops(self.grid)

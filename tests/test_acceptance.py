@@ -122,8 +122,7 @@ def _mms_errors(g_const, eps):
 
         base = Coefficients.from_constants(1, a=1.0, b=0.0, c=1.0,
                                            g=g_const)
-        co = Coefficients(a=base.a, b=base.b, c=base.c, h=rhs_fn, g=base.g,
-                          theta=base.theta, dim=1)
+        co = Coefficients(a=base.a, b=base.b, c=base.c, h=rhs_fn, g=base.g)
         prob = Problem(grid, co, S1, empty_quadrature(1))
         rep = solve_nidd(prob, eps)
         x = grid.interior_points().ravel()
@@ -198,10 +197,7 @@ def test_criterion_07_penalized_value_equality():
     for name, points in VERIFY_POINTS.items():
         spec = load_config(CONFIGS / name)
         rep = solve_nidd(spec.problem, eps, spec.solver_options)
-        params = ctl.sde_from_problem(
-            spec.problem, spec.q, dt=spec.sde["dt"],
-            t_max=spec.sde["t_max"],
-            jump_truncation=spec.sde["jump_truncation"], levy=spec.levy)
+        params = ctl.sde_from_problem(spec.problem, **spec.sde)
         assert params.dt == 1e-3
         out = ctl.verify_value_equality(
             spec.problem, rep.solution, "penalized",
@@ -221,10 +217,7 @@ def test_criterion_08_suboptimality_direction():
     for name in SDE_CONFIGS:
         spec = load_config(CONFIGS / name)
         rep = solve_hjb(spec.problem, spec.eps_schedule)
-        params = ctl.sde_from_problem(
-            spec.problem, spec.q, dt=spec.sde["dt"],
-            t_max=spec.sde["t_max"],
-            jump_truncation=spec.sde["jump_truncation"], levy=spec.levy)
+        params = ctl.sde_from_problem(spec.problem, **spec.sde)
         controls = [ctl.SingularControlSpec(n=(1.0,), rate=0.0),
                     ctl.SingularControlSpec(n=(1.0,), rate=0.25),
                     ctl.SingularControlSpec(n=(-1.0,), rate=0.25)]

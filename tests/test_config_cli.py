@@ -60,6 +60,25 @@ def test_unknown_key_rejected():
         assert key in str(err.value)
 
 
+@pytest.mark.parametrize("name, a", [
+    ("example_2d_ball", [[1.0, 1.0], [1.0, 1.0]]),
+    ("example_1d_control", 0.0)])
+def test_diffusion_not_positive_definite_rejected(name, a):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["coefficients"]["a"] = a
+    with pytest.raises(ValidationError) as err:
+        build_spec(cfg)
+    assert err.value.field_path == "coefficients.a"
+    assert "positive definite" in str(err.value)
+
+
+def test_discount_is_the_constant_c():
+    assert build_spec(base_config()).q == 1.0
+    cfg = base_config()
+    cfg["coefficients"]["c"] = "1.0 + x*x"
+    assert build_spec(cfg).q is None
+
+
 def test_c_zero_rejected_with_positivity_message():
     cfg = base_config()
     cfg["coefficients"]["c"] = 0.0
@@ -224,8 +243,43 @@ def test_bad_settings_rejected(block, key, value):
 
 
 def test_null_horizon_means_the_default():
-    spec = build_spec(base_config(sde={"t_max": None}))
+    from gradcap.control import sde_from_problem
+    cfg = base_config(sde={"t_max": None})
+    cfg["coefficients"]["c"] = 2.0
+    spec = build_spec(cfg)
     assert spec.sde["t_max"] is None
+    assert sde_from_problem(spec.problem, **spec.sde).t_max == 7.0
+
+
+@pytest.mark.parametrize("block, key", [
+    ("coefficients", "theta"), ("config", "q"), ("sde", "jump_truncation")])
+def test_cli_restated_problem_fact_is_unknown_key_exit_2(tmp_path, capsys,
+                                                        block, key):
+    # the ellipticity floor, the discount and the jump truncation follow
+    # from a, c and quadrature.delta, so a config may not state them again
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    value = {"theta": 0.09, "q": 2.0, "jump_truncation": 1e-3}[key]
+    (cfg if block == "config" else cfg[block])[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config", str(path), "--policy", "null",
+                 "--x0", "0.0", "--paths", "20", "--out", str(out)]) == 2
+    assert f"config error: {block}.{key}: unknown key" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_2d_ball(tmp_path):
+    # c is constant and s is 1, so the 2D ball's process can be simulated
+    from gradcap.cli import main
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config",
+                 str(CONFIGS / "example_2d_ball.json"), "--policy", "null",
+                 "--x0", "0.0,0.0", "--paths", "20", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_paths"] == 20 and payload["mean"] > 0
 
 
 def test_cli_solver_failure_exit_1_with_best_iterate(tmp_path):
@@ -420,6 +474,17 @@ def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
     (["simulate", "--policy", "null"], ["--x0", "0.0", "--seed", "-5"]),
     (["verify", "--mode", "singular"], ["--x0", "0.0", "--x0", "1.0"]),
     (["verify", "--mode", "singular"], ["--x0", "0.0", "--seed", "-5"]),
+    # each policy rejects the options it does not read
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--rate", "5"]),
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--direction", "1"]),
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--eps", "0.1"]),
+    (["simulate", "--policy", "null"], ["--x0", "0.0", "--field", "u.csv"]),
+    (["simulate", "--policy", "penalized", "--field", "u.csv", "--eps",
+      "0.1"], ["--x0", "0.0", "--rate", "0.3"]),
+    (["simulate", "--policy", "penalized", "--field", "u.csv", "--eps",
+      "0.1"], ["--x0", "0.0", "--direction", "1"]),
+    (["simulate", "--policy", "constant", "--eps", "0.1", "--rate", "0.3"],
+     ["--x0", "0.0", "--field", "u.csv"]),
 ])
 def test_cli_bad_monte_carlo_input_exit_2(tmp_path, capsys, cmd, bad):
     from gradcap.cli import main

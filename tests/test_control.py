@@ -27,7 +27,7 @@ def flat_params(**kw):
                 q=1.0,
                 h_cost=lambda X: np.ones(np.atleast_2d(X).shape[0]),
                 g_cost=lambda X: np.ones(np.atleast_2d(X).shape[0]),
-                levy=None, t_max=14.0, dt=1e-3)
+                levy=None, dt=1e-3)
     base.update(kw)
     return ctl.SdeParams(**base)
 
@@ -176,27 +176,53 @@ def make_control_problem():
         b=lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)),
         c=_vectorize_scalar(lambda X: 2.0),
         h=lambda X: 2.5 * np.exp(-8.0 * np.atleast_2d(X)[:, 0] ** 2),
-        g=_vectorize_scalar(lambda X: 0.5),
-        theta=0.09, dim=1)
-    return Problem(grid, co, constant_density(1.0), quad), cp
+        g=_vectorize_scalar(lambda X: 0.5))
+    return Problem(grid, co, constant_density(1.0), quad)
 
 
 def test_sde_from_problem_requires_constant_c_and_unit_s():
-    prob, cp = make_control_problem()
-    params = ctl.sde_from_problem(prob, 2.0, levy=cp)
-    assert params.q == 2.0
-    with pytest.raises(ValueError):
-        ctl.sde_from_problem(prob, 1.0, levy=cp)  # c != q
+    prob = make_control_problem()
+    params = ctl.sde_from_problem(prob)
+    # the discount is c, and the horizon defaults to 14 / q
+    assert (params.q, params.t_max) == (2.0, 7.0)
+    with pytest.raises(ValueError, match="q=1.0 differs"):
+        ctl.sde_from_problem(prob, 1.0)
+    c_var = dataclasses.replace(prob.coeffs, c=lambda X: (
+        2.0 + 0.01 * np.atleast_2d(X)[:, 0]))
+    with pytest.raises(ValueError, match="constant c"):
+        ctl.sde_from_problem(Problem(prob.grid, c_var, prob.s, prob.quad))
     prob_bad = Problem(prob.grid, prob.coeffs, constant_density(0.5),
                        prob.quad)
     with pytest.raises(ValueError):
-        ctl.sde_from_problem(prob_bad, 2.0, levy=cp)
+        ctl.sde_from_problem(prob_bad)
     # sigma is factored once, so a must not vary between nodes
     a_var = dataclasses.replace(prob.coeffs, a=lambda X: (
         0.1 + 0.01 * np.atleast_2d(X)[:, 0])[:, None, None])
     prob_bad = Problem(prob.grid, a_var, prob.s, prob.quad)
     with pytest.raises(ValueError, match="constant a"):
-        ctl.sde_from_problem(prob_bad, 2.0, levy=cp)
+        ctl.sde_from_problem(prob_bad)
+
+
+def test_sde_from_problem_takes_jumps_from_the_quadrature():
+    prob = make_control_problem()
+    params = ctl.sde_from_problem(prob)
+    assert params.levy is prob.quad.levy
+    assert params.jump_truncation == prob.quad.small_jump_cutoff == 1e-3
+    # restating the problem's values is allowed; differing from them is not
+    same = ctl.sde_from_problem(prob, 2.0, levy=prob.quad.levy,
+                                jump_truncation=1e-3)
+    assert (same.q, same.levy, same.jump_truncation) == \
+        (params.q, params.levy, params.jump_truncation)
+    other = CompoundPoisson(atoms=(((0.5,), 0.4),))
+    for kw in (dict(levy=other), dict(jump_truncation=1e-2)):
+        with pytest.raises(ValueError, match="differs from the problem"):
+            ctl.sde_from_problem(prob, **kw)
+
+
+def test_sde_params_horizon_defaults_to_14_over_q():
+    assert flat_params(q=2.0).t_max == 7.0
+    assert flat_params(q=2.0, t_max=None).t_max == 7.0
+    assert flat_params().t_max == 14.0
 
 
 def make_control_problem_2d():
@@ -211,9 +237,8 @@ def make_control_problem_2d():
         c=_vectorize_scalar(lambda X: 1.5),
         h=lambda X: 3.0 * np.exp(
             -6.0 * np.sum(np.atleast_2d(X) ** 2, axis=1)),
-        g=_vectorize_scalar(lambda X: 0.6),
-        theta=0.13, dim=2)
-    return Problem(grid, co, constant_density(1.0), quad), cp
+        g=_vectorize_scalar(lambda X: 0.6))
+    return Problem(grid, co, constant_density(1.0), quad)
 
 
 def test_sde_from_problem_checks_s_at_every_quadrature_node():
@@ -223,11 +248,11 @@ def test_sde_from_problem_checks_s_at_every_quadrature_node():
                            "body": "1 - 0.5*exp(-10000*(z+0.5)**2)"}
     spec = build_spec(cfg)
     with pytest.raises(ValueError, match="identically 1"):
-        ctl.sde_from_problem(spec.problem, spec.q, levy=spec.levy)
+        ctl.sde_from_problem(spec.problem)
 
 
 def test_penalized_policy_regions():
-    prob, cp = make_control_problem()
+    prob = make_control_problem()
     rep = solve_nidd(prob, 0.1, SolverOptions())
     policy = ctl.PenalizedFeedback(rep.solution, 0.1, prob.coeffs.g)
     grid = prob.grid
@@ -246,7 +271,7 @@ def test_penalized_policy_regions():
 @pytest.mark.parametrize("make", [make_control_problem,
                                   make_control_problem_2d])
 def test_penalized_feedback_act_is_one_table_interpolation(make):
-    prob, _ = make()
+    prob = make()
     grid = prob.grid
     X = grid.interior_points()
     r2 = np.sum(X**2, axis=1)
@@ -285,16 +310,18 @@ def _pushes_2d(prob):
     (make_control_problem_2d, 1.5, _pushes_2d, (0.2, -0.1))])
 def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
                                               x0):
-    prob, cp = make()
-    params = ctl.sde_from_problem(prob, q, t_max=3.0, levy=cp)
+    prob = make()
+    params = ctl.sde_from_problem(prob, t_max=3.0)
+    assert params.q == q
     ctrl = control(prob)
 
     def run():
         return estimate(params, ctrl, np.array(x0), 50, 17)
 
     full = run()
-    # 50 paths in batches of at most 16 (1D) or 8 (2D), each refilling its
-    # normals every 256 to 341 steps; by default one batch draws them all
+    # 50 paths share a pool of 16 (1D) or 8 (2D) slots, whose normals are
+    # refilled every 256 steps; by default each path has a slot of its own
+    # and one fill covers the horizon
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     split = run()
     assert full.max_rate_observed > 0
@@ -305,8 +332,8 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
 def test_pooled_jobs_equal_separate_estimates(monkeypatch):
     # four kinds of control at two start points, with compound-Poisson
     # jumps; the pool of 8 slots refills many times over for 96 paths
-    prob, cp = make_control_problem_2d()
-    params = ctl.sde_from_problem(prob, 1.5, t_max=1.5, levy=cp)
+    prob = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, t_max=1.5)
     controls = [
         null(2),
         ctl.ConstantRate(n=(1.0, 0.0), rate=0.3, eps=0.1),
@@ -362,7 +389,7 @@ def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
 def test_feedback_price_is_the_conjugate_penalty(make, eps):
     # the price column, rate |Du| - psi(|Du|^2 - g^2), is the supremum the
     # golden section finds, in the off, blend and linear zones of psi
-    prob, _ = make()
+    prob = make()
     grid = prob.grid
     X = grid.interior_points()
     u = SolutionField.from_interior_vector(
@@ -431,9 +458,9 @@ def test_constant_rate_validates_at_construction():
 
 
 def test_penalized_value_equality_quick():
-    prob, cp = make_control_problem()
+    prob = make_control_problem()
     rep = solve_nidd(prob, 0.1, SolverOptions())
-    params = ctl.sde_from_problem(prob, 2.0, dt=1e-3, t_max=7.0, levy=cp)
+    params = ctl.sde_from_problem(prob, dt=1e-3, t_max=7.0)
     out = ctl.verify_value_equality(
         prob, rep.solution, "penalized", [np.array([0.0])], 2000, 42,
         params=params, eps=0.1)
@@ -442,9 +469,9 @@ def test_penalized_value_equality_quick():
 
 
 def test_suboptimality_direction_quick():
-    prob, cp = make_control_problem()
+    prob = make_control_problem()
     rep = solve_nidd(prob, 0.05, SolverOptions())
-    params = ctl.sde_from_problem(prob, 2.0, dt=1e-3, t_max=7.0, levy=cp)
+    params = ctl.sde_from_problem(prob, dt=1e-3, t_max=7.0)
     controls = [ctl.SingularControlSpec(n=(1.0,), rate=0.0),
                 ctl.SingularControlSpec(n=(1.0,), rate=0.3),
                 ctl.SingularControlSpec(n=(-1.0,), rate=0.3)]
@@ -522,8 +549,8 @@ def test_singular_directions_are_unit_vectors():
     p = ctl.simulate_path(par, ctl.SingularControlSpec(n=(1, 1), rate=0.3),
                           np.zeros(2), 0)
     assert abs(p.exit_time - np.sqrt(2.0) / 0.3) <= par.dt + 1e-12
-    prob, cp = make_control_problem_2d()
-    params = ctl.sde_from_problem(prob, 1.5, t_max=1.0, levy=cp)
+    prob = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, t_max=1.0)
     x0 = np.array([0.2, -0.1])
     a, b = (estimate(params, ctl.SingularControlSpec(n=n, rate=0.3), x0, 40,
                      5) for n in ((1.0, 1.0), (2**-0.5, 2**-0.5)))
@@ -543,11 +570,10 @@ def test_cost_estimates_nonnegative_for_nonnegative_data():
 
 
 def test_penalized_value_equality_2d():
-    prob, cp = make_control_problem_2d()
+    prob = make_control_problem_2d()
     rep = solve_nidd(prob, 0.1, SolverOptions())
     assert rep.grad_sup > 0.6  # feedback genuinely active somewhere
-    params = ctl.sde_from_problem(prob, 1.5, dt=1e-3, t_max=9.0,
-                                  jump_truncation=1e-3, levy=cp)
+    params = ctl.sde_from_problem(prob, dt=1e-3, t_max=9.0)
     out = ctl.verify_value_equality(
         prob, rep.solution, "penalized",
         [np.array([0.0, 0.0]), np.array([0.3, -0.2])], 3000, 42,
@@ -556,10 +582,9 @@ def test_penalized_value_equality_2d():
 
 
 def test_singular_dominance_2d():
-    prob, cp = make_control_problem_2d()
+    prob = make_control_problem_2d()
     rep = solve_nidd(prob, 0.1, SolverOptions())
-    params = ctl.sde_from_problem(prob, 1.5, dt=1e-3, t_max=9.0,
-                                  jump_truncation=1e-3, levy=cp)
+    params = ctl.sde_from_problem(prob, dt=1e-3, t_max=9.0)
     controls = [ctl.SingularControlSpec(n=(1.0, 0.0), rate=0.2),
                 ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2)]
     out = ctl.verify_value_equality(

@@ -149,8 +149,7 @@ def test_nidd_manufactured_solution_convergence():
             return gam + pf.psi(grad2 - 100.0)
 
         co = Coefficients.from_constants(1, a=1.0, b=0.0, c=1.0, g=10.0)
-        co = Coefficients(a=co.a, b=co.b, c=co.c, h=rhs_fn, g=co.g,
-                          theta=co.theta, dim=1)
+        co = Coefficients(a=co.a, b=co.b, c=co.c, h=rhs_fn, g=co.g)
         prob = Problem(grid, co, constant_density(1.0), empty_quadrature(1))
         rep = solve_nidd(prob, eps)
         x = grid.interior_points().ravel()

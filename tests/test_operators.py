@@ -182,7 +182,7 @@ def test_m_matrix_structure():
 def test_ellipticity_violation_raised():
     g = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 0.2)
     co = Coefficients.from_constants(
-        2, a=np.array([[1.0, 1.2], [1.2, 1.0]]), b=0.0, c=1.0, theta=0.1)
+        2, a=np.array([[1.0, 1.2], [1.2, 1.0]]), b=0.0, c=1.0)
     with pytest.raises(EllipticityViolation):
         assemble_linear_system(co, S1, empty_quadrature(2), g)
 

@@ -6,7 +6,10 @@ and compare the outputs with `diff`.
     python tools/mc_reference.py [--src DIR] > ref.txt
 
 `--src` names the directory that holds the `gradcap` package (default: the
-`src` of this checkout).  The CLI cases print the sha256 of each artifact:
+`src` of this checkout).  The CLI cases print the sha256 of each artifact
+with its config-hash stamp left out (the `# config_hash=` line of a CSV,
+the `config_hash` key of a JSON file), so a change to the config schema
+that moves only the stamps leaves the reference unchanged:
 the `solve-hjb` CSV and report of every shipped config; on
 `example_1d_control`, the `solve-nidd` report at eps 0.1, the `residual`
 JSON of that field, `simulate` (null, constant and penalized policies) and
@@ -23,7 +26,9 @@ unit vector.  The whole run takes about 20 s on two cores.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,8 +40,14 @@ CONFIGS = ROOT / "configs"
 PATHS = 1000
 
 
+# the stamp line of a field CSV and of an indented JSON artifact
+_STAMP = re.compile(rb'\s*(# config_hash=|"config_hash": )')
+
+
 def _sha(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(
+        b"".join(ln for ln in lines if not _STAMP.match(ln))).hexdigest()
 
 
 def _hex(est):
@@ -100,18 +111,12 @@ def _problem_2d():
     from gradcap.operators import Coefficients
     from gradcap.problem import Problem
 
-    def const(value, shape=()):
-        return lambda X: np.broadcast_to(
-            value, (np.atleast_2d(X).shape[0],) + shape).copy()
-
     grid = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 1 / 32)
     cp = CompoundPoisson(atoms=(((0.25, -0.2), 0.5),))
-    co = Coefficients(
-        a=const(0.15 * np.eye(2), (2, 2)),
-        b=const(np.array([0.1, -0.05]), (2,)),
-        c=const(1.5),
-        h=lambda X: 3.0 * np.exp(-6.0 * np.sum(np.atleast_2d(X)**2, axis=1)),
-        g=const(0.6), theta=0.13, dim=2)
+    co = dataclasses.replace(
+        Coefficients.from_constants(2, a=0.15 * np.eye(2), b=(0.1, -0.05),
+                                    c=1.5, g=0.6),
+        h=lambda X: 3.0 * np.exp(-6.0 * np.sum(np.atleast_2d(X)**2, axis=1)))
     quad = build_quadrature(cp, 1e-3, 2.0)
     return Problem(grid, co, constant_density(1.0), quad), cp
 
