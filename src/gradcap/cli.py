@@ -18,7 +18,7 @@ import numpy as np
 from . import control as ctl
 from .config import load_config
 from .errors import (ConfigError, GradcapError, MaxIterationsExceeded,
-                     ValidationError)
+                     NotSimulable, ValidationError)
 from .geometry import SolutionField
 from .hjb import HjbOptions, hjb_residual, solve_hjb
 from .nidd import solve_nidd
@@ -164,9 +164,17 @@ def cmd_residual(args):
     return 0
 
 
+# the config field of each coefficient the simulator may reject
+_COEFFICIENT_FIELDS = {"a": "coefficients.a", "c": "coefficients.c",
+                       "s": "jump_density"}
+
+
 def _sde_params(spec):
     try:
         return ctl.sde_from_problem(spec.problem, **spec.sde)
+    except NotSimulable as exc:
+        raise ValidationError(_COEFFICIENT_FIELDS[exc.coefficient],
+                              str(exc)) from exc
     except ValueError as exc:
         raise ValidationError("sde", str(exc)) from exc
 

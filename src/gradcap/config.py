@@ -90,8 +90,14 @@ def _scalar_field(value, dim, field_path):
 
         def call(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
-            out = np.asarray(fn(_coord_env(X, dim)), dtype=float)
-            return np.broadcast_to(out, (X.shape[0],)).astype(float)
+            out = fn(_coord_env(X, dim))
+            # an array the expression computed is the caller's already; a
+            # number, or a coordinate itself, is copied out to (n,)
+            if isinstance(out, np.ndarray) and out.flags.owndata \
+                    and out.dtype == float and out.shape == (X.shape[0],):
+                return out
+            return np.broadcast_to(np.asarray(out, dtype=float),
+                                   (X.shape[0],)).astype(float)
 
         return call
     raise ValidationError(field_path, "expected a number or expression string")
@@ -241,12 +247,17 @@ def _parse_vector_field(value, dim, field_path):
         value = [value] * dim
     if not isinstance(value, list) or len(value) != dim:
         raise ValidationError(field_path, f"expected {dim} components")
-    comps = [_scalar_field(v, dim, f"{field_path}[{k}]")
+    # a numeric component is written as it is, an expression evaluated
+    comps = [float(v) if isinstance(v, (int, float))
+             else _scalar_field(v, dim, f"{field_path}[{k}]")
              for k, v in enumerate(value)]
 
     def call(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.column_stack([c(X) for c in comps])
+        out = np.empty((X.shape[0], dim))
+        for k, comp in enumerate(comps):
+            out[:, k] = comp(X) if callable(comp) else comp
+        return out
 
     return call
 

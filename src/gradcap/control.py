@@ -11,7 +11,12 @@ domain or at the horizon cap; the discount makes the cap bias negligible.
 Every control answers one question per step, `act(X, t, g_cost) ->
 (rate, direction, effort)` with t the clocks of the rows of X, and lists
 its impulses in `pushes`, each along a unit direction (`_unit`); the step
-charges the running cost h plus `effort`.  Cost conventions: absolutely
+charges the running cost h plus `effort`.  Each pool step calls every
+control's `act` once on its block of live rows and `h_cost`, `drift` and
+`sigma` once on all of them, so the rows h_cost sees over a simulation add
+up to its path steps.  The feedback policy's node table is column-major,
+one row per quantity and one column per lattice node, so a step gathers
+each stencil corner with one `take`.  Cost conventions: absolutely
 continuous policies price their push rate by the conjugate penalty;
 singular test controls pay the constraint weight g times their rate, and
 g along each impulse segment (Gauss-Legendre along the straight
@@ -37,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import PushOutsideAdmissible, StartOutsideDomain
+from .errors import NotSimulable, PushOutsideAdmissible, StartOutsideDomain
 from .geometry import interp_weights
 from .levy import bounded_variation_error_bound, sample_jumps
 from .penalty import PenaltyFn
@@ -127,18 +132,19 @@ def sde_from_problem(problem, q=None, levy=None, jump_truncation=None,
     own = {"q": problem.discount(), "levy": quad.levy,
            "jump_truncation": quad.small_jump_cutoff}
     if own["q"] is None:
-        raise ValueError("simulation requires constant c")
+        raise NotSimulable("c", "simulation requires constant c")
     for name, given in zip(own, (q, levy, jump_truncation)):
         if given is not None and given != own[name]:
             raise ValueError(f"{name}={given!r} differs from the problem's "
                              f"{own[name]!r}")
     a_vals = np.asarray(problem.coeffs.a(pts), dtype=float)
     if np.any(a_vals != a_vals[:1]):
-        raise ValueError("simulation requires constant a")
+        raise NotSimulable("a", "simulation requires constant a")
     # the operator reads s at every interior point and quadrature node
     for z in quad.nodes:
         if np.max(np.abs(problem.s.eval(pts, z) - 1.0)) > 1e-12:
-            raise ValueError("simulation requires jump density s identically 1")
+            raise NotSimulable(
+                "s", "simulation requires jump density s identically 1")
 
     coeffs = problem.coeffs
     sig0 = _matrix_sqrt_batched(2.0 * a_vals[:1])[0]
@@ -226,27 +232,33 @@ class PenalizedFeedback:
         grid = fld.grid
         self.grid = grid
         pf = PenaltyFn(eps)
-        grad_nodes = np.column_stack(
+        grad_nodes = np.array(
             [t.ravel() for t in _lattice_gradient(grid, fld.values)])
-        norm = np.linalg.norm(grad_nodes, axis=1)
+        norm = np.linalg.norm(grad_nodes, axis=0)
         g_nodes = np.asarray(g_fn(grid.points()), dtype=float)
         rate_nodes = 2.0 * pf.psi_prime(norm**2 - g_nodes**2) * norm
         price_nodes = rate_nodes * norm - pf.psi(norm**2 - g_nodes**2)
-        # columns [du/dx_1 .. du/dx_d, rate, price], one row per lattice node
-        self.table = np.column_stack([grad_nodes, rate_nodes, price_nodes])
+        # rows [du/dx_1 .. du/dx_d, rate, price], one column per lattice
+        # node, so each stencil corner is one `take` along the nodes
+        self.table = np.vstack([grad_nodes, rate_nodes, price_nodes])
 
     def act(self, X, t, g_cost):
         cols, wts = interp_weights(self.grid, X)
-        vals = np.sum(self.table[cols] * wts[:, :, None], axis=1)
+        # the corners in stencil order onto +0.0, as np.sum over the stencil
+        # axis adds them, so the values match it bit for bit
+        vals = np.zeros((self.table.shape[0], X.shape[0]))
+        for c in range(cols.shape[1]):
+            corner = self.table.take(cols[:, c], axis=1)
+            corner *= wts[:, c]
+            vals += corner
         d = self.grid.dim
-        grad = vals[:, :d]
-        norm = np.linalg.norm(grad, axis=1)
+        grad = vals[:d]
+        norm = np.sqrt((grad * grad).sum(axis=0))
+        # the unit gradient, or e_1 where the gradient vanishes
         n = np.zeros_like(grad)
-        n[:, 0] = 1.0
-        nz = norm > 0
-        n[nz] = grad[nz] / norm[nz, None]
-        return (np.maximum(vals[:, d], 0.0), n,
-                np.maximum(vals[:, d + 1], 0.0))
+        n[0] = 1.0
+        np.divide(grad, norm, out=n, where=norm > 0)
+        return np.maximum(vals[d], 0.0), n.T, np.maximum(vals[d + 1], 0.0)
 
 
 def _lattice_gradient(grid, values):
@@ -495,22 +507,27 @@ def _simulate_pool(params, jobs):
 
         # running cost plus control effort at the left endpoint, one `act`
         # call on each control's block
-        rate, n_dir, effort = np.empty(k.size), np.empty_like(x), \
-            np.empty(k.size)
-        for control, a, b in zip(controls, bounds[:-1], bounds[1:]):
-            if b > a:
-                rate[a:b], n_dir[a:b], effort[a:b] = control.act(
-                    x[a:b], t[a:b], params.g_cost)
+        acts = [control.act(x[a:b], t[a:b], params.g_cost)
+                for control, a, b in zip(controls, bounds[:-1], bounds[1:])
+                if b > a]
+        rate, n_dir, effort = acts[0] if len(acts) == 1 \
+            else (np.concatenate(out) for out in zip(*acts))
         np.maximum(rmax, rate, out=rmax)
         run = np.asarray(params.h_cost(x), dtype=float) + effort
-        cost += disc[k] * run * dt
+        run *= disc.take(k)
+        run *= dt
+        cost += run
 
-        # Euler step: drift (including the control push) plus diffusion
-        drift = np.asarray(params.drift(x), dtype=float) \
-            + n_dir * rate[:, None]
+        # Euler step: drift (including the control push) plus diffusion,
+        # both read before x moves in place
+        push = n_dir * rate[:, None]
+        push += params.drift(x)
+        push *= dt
         sig = np.asarray(params.sigma(x), dtype=float)
-        x = x - drift * dt \
-            + np.einsum("nij,nj->ni", sig, normals[slot, col]) * sqrt_dt
+        noise = np.einsum("nij,nj->ni", sig, normals[slot, col])
+        noise *= sqrt_dt
+        x -= push
+        x += noise
 
         # jumps scheduled in (t, t+dt], applied at step end as own events,
         # for the paths still in their slots

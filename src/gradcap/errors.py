@@ -63,6 +63,15 @@ class StartOutsideDomain(GradcapError):
     """Simulation start point is not inside the open domain."""
 
 
+class NotSimulable(GradcapError, ValueError):
+    """The simulator cannot step the process the problem generates;
+    `coefficient` names the coefficient at fault: "a", "c" or "s"."""
+
+    def __init__(self, coefficient, message):
+        super().__init__(message)
+        self.coefficient = coefficient
+
+
 class PushOutsideAdmissible(GradcapError):
     """A discrete push was scheduled at a Levy jump time."""
 

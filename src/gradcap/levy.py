@@ -65,6 +65,8 @@ class CompoundPoisson:
         object.__setattr__(self, "_Z", Z)
         object.__setattr__(self, "_m", np.array([m for _, m in norm]))
         object.__setattr__(self, "_r", np.linalg.norm(Z, axis=1))
+        # delta -> `_above(delta)`
+        object.__setattr__(self, "_kept", {})
 
     @property
     def dim(self):
@@ -76,8 +78,19 @@ class CompoundPoisson:
         ml = float(np.sum(m[r >= 1.0]))
         return fm, ml
 
+    def _above(self, delta):
+        """The atoms at or above delta, their masses normalized, and their
+        total mass, computed once per delta: every path of a simulation
+        samples at the same delta."""
+        if delta not in self._kept:
+            keep = self._r >= delta
+            m = self._m[keep]
+            total = m.sum()
+            self._kept[delta] = (self._Z[keep], m / total, float(total))
+        return self._kept[delta]
+
     def intensity_above(self, delta):
-        return float(np.sum(self._m[self._r >= delta]))
+        return self._above(delta)[2]
 
     def small_first_moment(self, delta):
         keep = self._r < delta
@@ -89,9 +102,8 @@ class CompoundPoisson:
         return self._Z[keep], self._m[keep]
 
     def sample_sizes(self, rng, n, delta):
-        keep = self._r >= delta
-        Z, m = self._Z[keep], self._m[keep]
-        idx = rng.choice(len(m), size=n, p=m / m.sum())
+        Z, p, _ = self._above(delta)
+        idx = rng.choice(len(p), size=n, p=p)
         return Z[idx]
 
 

@@ -271,6 +271,26 @@ def test_cli_restated_problem_fact_is_unknown_key_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, value, field", [
+    ("coefficients", {"c": "2.0 + x*x"}, "coefficients.c"),
+    ("jump_density", {"type": "constant", "value": 0.5}, "jump_density")])
+def test_cli_unsimulable_problem_names_its_field_exit_2(tmp_path, capsys,
+                                                       block, value, field):
+    # a varying discount or a jump density s != 1 is a fact of the problem,
+    # reported under the config field that states it
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg[block].update(value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config", str(path), "--policy", "null",
+                 "--x0", "0.0", "--paths", "20", "--out", str(out)]) == 2
+    assert f"config error: {field}: simulation requires" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_2d_ball(tmp_path):
     # c is constant and s is 1, so the 2D ball's process can be simulated
     from gradcap.cli import main

@@ -9,7 +9,8 @@ import pytest
 from conftest import CONFIGS
 from gradcap.config import build_spec
 from gradcap.errors import PushOutsideAdmissible, StartOutsideDomain
-from gradcap.geometry import Ball, Box, SolutionField, build_grid
+from gradcap.geometry import (Ball, Box, SolutionField, build_grid,
+                              interp_weights)
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
 from gradcap.nidd import SolverOptions, solve_nidd
 from gradcap.operators import Coefficients, _vectorize_scalar
@@ -268,29 +269,71 @@ def test_penalized_policy_regions():
     assert rate.max() <= (2 / 0.1) * rep.grad_sup + 1e-9
 
 
+def _stencil_probes(grid, rng):
+    """Points of the lattice hull that stress the stencil: random points,
+    every lattice node, points on cell edges (one coordinate on a lattice
+    line), and points within h of each bound of the hull, including the
+    bound itself and one ulp inside it, where the clamp applies."""
+    lo, hi = grid.domain.bounding_box()
+    d, h = grid.dim, grid.h
+    probes = [rng.uniform(lo, hi, size=(2000, d)), grid.points()]
+    edges = rng.uniform(lo, hi, size=(400, d))
+    for k in range(d):
+        edges[k::d, k] = rng.choice(grid.axes[k], size=edges[k::d].shape[0])
+    probes.append(edges)
+    for k in range(d):
+        for bound, inward in ((lo[k], 1.0), (hi[k], -1.0)):
+            near = rng.uniform(lo, hi, size=(50, d))
+            near[:, k] = bound + inward * rng.uniform(0.0, h, size=50)
+            near[:2, k] = bound, np.nextafter(bound, bound + inward)
+            probes.append(near)
+    return np.vstack(probes)
+
+
+def _table_values(policy, pts):
+    """The table rows at pts by the node-major formula: a fancy-index
+    gather of each stencil's nodes and a sum over the stencil axis."""
+    cols, wts = interp_weights(policy.grid, pts)
+    return np.sum(policy.table.T[cols] * wts[:, :, None], axis=1)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
 @pytest.mark.parametrize("make", [make_control_problem,
                                   make_control_problem_2d])
 def test_penalized_feedback_act_is_one_table_interpolation(make):
     prob = make()
     grid = prob.grid
+    d = grid.dim
     X = grid.interior_points()
     r2 = np.sum(X**2, axis=1)
     u = SolutionField.from_interior_vector(grid, 2.0 * (1.0 - r2))
     policy = ctl.PenalizedFeedback(u, 0.1, prob.coeffs.g)
-    rng = np.random.default_rng(4)
-    lo, hi = grid.domain.bounding_box()
-    pts = rng.uniform(lo, hi, size=(4000, grid.dim))
-    pts = pts[grid.domain.contains_batch(pts)]
+    pts = _stencil_probes(grid, np.random.default_rng(4))
     rate, n, effort = policy.act(pts, 0.0, prob.coeffs.g)
-    cols = [SolutionField(grid, c.reshape(grid.shape)).values_extended(pts)
-            for c in policy.table.T]
-    grad = np.column_stack(cols[:grid.dim])
+    # the oracle: the gradient's np.linalg.norm, and its direction written
+    # where that norm is positive, e_1 elsewhere
+    vals = _table_values(policy, pts)
+    grad = vals[:, :d]
     norm = np.linalg.norm(grad, axis=1)
-    assert np.all(norm > 0)
-    assert np.array_equal(n, grad / norm[:, None])
-    assert np.array_equal(rate, np.maximum(cols[grid.dim], 0.0))
-    assert np.array_equal(effort, np.maximum(cols[grid.dim + 1], 0.0))
+    n_ref = np.zeros_like(grad)
+    n_ref[:, 0] = 1.0
+    nz = norm > 0
+    n_ref[nz] = grad[nz] / norm[nz, None]
+    assert not nz.all()  # the lattice node at the origin has no gradient
+    assert _bits(n) == _bits(n_ref)
+    assert _bits(rate) == _bits(np.maximum(vals[:, d], 0.0))
+    assert _bits(effort) == _bits(np.maximum(vals[:, d + 1], 0.0))
     assert rate.max() > 0 and effort.max() > 0  # the push is active
+    # the zero-extended field evaluation shares the stencil: inside the
+    # domain it is the same formula, outside it is 0
+    inside = grid.domain.contains_batch(pts)
+    for row, ref in zip(policy.table, vals.T):
+        out = SolutionField(grid, row.reshape(grid.shape)).values_extended(pts)
+        assert _bits(out) == _bits(np.where(inside, ref, 0.0))
 
 
 def _feedback_1d(prob):
@@ -303,6 +346,30 @@ def _feedback_1d(prob):
 def _pushes_2d(prob):
     return ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
                                    pushes=((0.5, (1.0, 1.0), 0.1),))
+
+
+def test_pool_calls_each_sde_callable_once_per_step_on_the_live_rows():
+    # two controls share the pool; h, drift and sigma each see every live
+    # row once per pool step, so the rows h sees count the path steps
+    prob = make_control_problem()
+    params = ctl.sde_from_problem(prob, t_max=2.0)
+    rows = {"h_cost": [], "drift": [], "sigma": []}
+    for name, seen in rows.items():
+        def counted(X, fn=getattr(params, name), seen=seen):
+            seen.append(X.shape[0])
+            return fn(X)
+        setattr(params, name, counted)
+    jobs = [(_feedback_1d(prob), np.array([0.3]), 30, 5),
+            (ctl.SingularControlSpec(n=(1.0,), rate=0.2), np.array([-0.2]),
+             20, 50)]
+    outs = ctl._simulate_pool(params, jobs)
+    steps = sum(int(out["steps"].sum()) for out in outs)
+    assert rows["h_cost"] == rows["drift"] == rows["sigma"]
+    assert sum(rows["h_cost"]) == steps
+    # a pool step runs on at least one live row and at most one per path
+    assert 1 <= min(rows["h_cost"]) and max(rows["h_cost"]) <= 50
+    assert len(rows["h_cost"]) >= max(int(out["steps"].max())
+                                      for out in outs)
 
 
 @pytest.mark.parametrize("make, q, control, x0", [
@@ -400,12 +467,12 @@ def test_feedback_price_is_the_conjugate_penalty(make, eps):
 
     policy = ctl.PenalizedFeedback(u, eps, g_fn)
     d = grid.dim
-    norm = np.linalg.norm(policy.table[:, :d], axis=1)
+    norm = np.linalg.norm(policy.table[:d], axis=0)
     g_nodes = g_fn(grid.points())
     arg = norm**2 - g_nodes**2
     assert np.any(arg <= 0) and np.any((arg > 0) & (arg < 2 * eps)) \
         and np.any(arg >= 2 * eps)
-    rate, price = policy.table[:, d], policy.table[:, d + 1]
+    rate, price = policy.table[d], policy.table[d + 1]
     ref = PenaltyFn(eps).legendre_batch(g_nodes, rate)
     assert np.all(np.abs(price - ref) <= 1e-12 * (1.0 + np.abs(price)))
 

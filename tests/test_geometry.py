@@ -47,6 +47,45 @@ def test_partition_property():
                               dom.contains_batch(g.points()))
 
 
+def _ulp_around(values):
+    """Each value and the floats one ulp below and above it."""
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(v, -np.inf), v,
+                           np.nextafter(v, np.inf)])
+
+
+def _boundary_probes(dom):
+    """Points on the boundary of dom and one ulp to either side of it along
+    each coordinate, with a few interior and exterior points."""
+    if isinstance(dom, Box):
+        per_axis = [_ulp_around([lo, 0.5 * (lo + hi), hi])
+                    for lo, hi in zip(dom.lo, dom.hi)]
+        return np.stack(np.meshgrid(*per_axis, indexing="ij"),
+                        axis=-1).reshape(-1, dom.dim)
+    c = np.array(dom.center)
+    if dom.dim == 1:
+        return _ulp_around([c[0] - dom.radius, c[0], c[0] + dom.radius,
+                            c[0] + 2 * dom.radius])[:, None]
+    theta = np.linspace(0.0, 2 * np.pi, 13)
+    ring = c + dom.radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    probes = [np.stack(np.meshgrid(_ulp_around([x]), _ulp_around([y]),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+              for x, y in ring]
+    return np.vstack([np.vstack(probes), c[None, :], 2 * c[None, :] + 3.0])
+
+
+@pytest.mark.parametrize("dom", [
+    Box(lo=(-1.0,), hi=(0.75,)), Box(lo=(-1.0, 0.1), hi=(0.5, 2.0)),
+    Ball(center=(0.3,), radius=0.7), Ball(center=(0.1, -0.2), radius=1.0)])
+def test_contains_batch_agrees_with_contains_at_the_boundary(dom):
+    pts = _boundary_probes(dom)
+    inside = dom.contains_batch(pts)
+    assert inside.dtype == bool and inside.shape == (pts.shape[0],)
+    assert inside.tolist() == [dom.contains(p) for p in pts]
+    # the open set excludes its boundary but not every probe is outside
+    assert 0 < inside.sum() < pts.shape[0]
+
+
 def test_zero_extension_exact():
     g = build_grid(Box(lo=(-1,), hi=(1,)), 0.5)
     rng = np.random.default_rng(3)

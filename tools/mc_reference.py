@@ -16,11 +16,12 @@ JSON of that field, `simulate` (null, constant and penalized policies) and
 `verify` (penalized and singular modes) JSON; and the report of a
 `solve-nidd` run that does not converge (`example_1d_tight` at eps 1e-4).
 The library cases print the mean, standard error and largest push rate in
-hex of 2D estimates: penalized verification with compound-Poisson jumps, an
-impulse along (1, 1), a callable rate, and a pooled call of several controls
-at two start points; and the exit flag, exit time and cost of one
-`simulate_path` under the impulse control.  Every control direction is a
-unit vector.  The whole run takes about 20 s on two cores.
+hex of 2D estimates: penalized verification with compound-Poisson jumps in
+the unit ball and in a box, an impulse along (1, 1), a callable rate, and a
+pooled call of several controls at two start points; and the exit flag,
+exit time and cost of one `simulate_path` under the impulse control.
+Every control direction is a unit vector.  The whole run takes about 20 s
+on two cores.
 """
 
 from __future__ import annotations
@@ -104,14 +105,14 @@ def cli_cases(out):
         yield f"{name} exit={code} {_sha(path)}"
 
 
-def _problem_2d():
-    from gradcap.geometry import Ball, build_grid
+def _problem_2d(domain):
+    from gradcap.geometry import build_grid
     from gradcap.levy import CompoundPoisson, build_quadrature, \
         constant_density
     from gradcap.operators import Coefficients
     from gradcap.problem import Problem
 
-    grid = build_grid(Ball(center=(0.0, 0.0), radius=1.0), 1 / 32)
+    grid = build_grid(domain, 1 / 32)
     cp = CompoundPoisson(atoms=(((0.25, -0.2), 0.5),))
     co = dataclasses.replace(
         Coefficients.from_constants(2, a=0.15 * np.eye(2), b=(0.1, -0.05),
@@ -121,22 +122,32 @@ def _problem_2d():
     return Problem(grid, co, constant_density(1.0), quad), cp
 
 
-def library_cases():
+def _penalized_verify(name, prob, params, x0s):
     from gradcap import control as ctl
     from gradcap.nidd import solve_nidd
 
-    prob, cp = _problem_2d()
-    params = ctl.sde_from_problem(prob, 1.5, t_max=4.0, levy=cp)
     fld = solve_nidd(prob, 0.1).solution
-    x0s = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
     rep = ctl.verify_value_equality(prob, fld, "penalized", x0s, PATHS, 42,
                                     params=params, eps=0.1)
     for e in rep.entries:
         x0 = ",".join(f"{float(v):g}" for v in e["x0"])
-        yield (f"2d penalized verify x0={x0} "
+        yield (f"{name} penalized verify x0={x0} "
                f"mean={e['mc_mean'].hex()} stderr={e['stderr'].hex()} "
                f"max_rate={e['max_rate_observed'].hex()} "
                f"tol={e['tolerance'].hex()} pass={e['pass']}")
+
+
+def library_cases():
+    from gradcap import control as ctl
+    from gradcap.geometry import Ball, Box
+
+    prob, cp = _problem_2d(Ball(center=(0.0, 0.0), radius=1.0))
+    params = ctl.sde_from_problem(prob, 1.5, t_max=4.0, levy=cp)
+    x0s = [np.array([0.0, 0.0]), np.array([0.3, -0.2])]
+    yield from _penalized_verify("2d", prob, params, x0s)
+    box, _ = _problem_2d(Box(lo=(-1.0, -0.75), hi=(0.75, 1.0)))
+    yield from _penalized_verify(
+        "2d box", box, ctl.sde_from_problem(box, t_max=4.0), x0s[1:])
 
     impulse = ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
                                       pushes=((0.3, (1.0, 1.0), 0.1),))
