@@ -43,6 +43,23 @@ def _radial_integral(power, kappa, alpha, lam, a, b):
     return kappa * val
 
 
+def _choice_cdf(p):
+    """The table `Generator.choice(len(p), size=n, p=p)` draws from.
+
+    `cdf.searchsorted(rng.random(n), side="right")` then gives choice's
+    indices and leaves the generator in the same state, without choice
+    checking and summing p again on every call.  p is checked here as
+    choice checks it.
+    """
+    if not np.all(p >= 0.0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(float).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class CompoundPoisson:
     """Finite atomic measure: list of (z, mass) with mass > 0."""
@@ -65,8 +82,9 @@ class CompoundPoisson:
         object.__setattr__(self, "_Z", Z)
         object.__setattr__(self, "_m", np.array([m for _, m in norm]))
         object.__setattr__(self, "_r", np.linalg.norm(Z, axis=1))
-        # delta -> `_above(delta)`
+        # delta -> `_above(delta)`, and delta -> the cdf `sample_sizes` reads
         object.__setattr__(self, "_kept", {})
+        object.__setattr__(self, "_cdf", {})
 
     @property
     def dim(self):
@@ -103,8 +121,9 @@ class CompoundPoisson:
 
     def sample_sizes(self, rng, n, delta):
         Z, p, _ = self._above(delta)
-        idx = rng.choice(len(p), size=n, p=p)
-        return Z[idx]
+        if delta not in self._cdf:
+            self._cdf[delta] = _choice_cdf(p)
+        return Z[self._cdf[delta].searchsorted(rng.random(n), side="right")]
 
 
 @dataclass(frozen=True)

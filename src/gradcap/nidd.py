@@ -3,12 +3,16 @@
 The penalized problem  gamma u + psi_eps(|D u|^2 - g^2) = h  is solved by a
 Levenberg-damped Newton iteration with a non-monotone line search.  Every
 linear system the solver meets, the linear Dirichlet problem and each Newton
-step alike, splits as (P - J) x = b: J is the jump gather and P is sparse
-with a cheap LU (the local M-matrix plus the jump mass, plus the penalty's
-gradient terms and the Levenberg shift in a Newton step).  GMRES on the
-left-preconditioned system (I - P^-1 J) x = P^-1 b solves it; without jumps
-the first preconditioner solve is already exact.  The runtime diagnostics
-check the a priori sandwich 0 <= u <= C1 and record the gradient sup.
+step alike, splits as (P - J) x = b: J is sparse and P has a cheap LU.
+GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b solves it;
+with J = 0 the first preconditioner solve is already exact.  The linear
+problem and most Newton steps reuse one cached LU, that of the local
+M-matrix plus the jump mass, with J the jump gather less the penalty's
+gradient terms on the few rows where the penalty is active.  A Newton step
+with a Levenberg shift, or with more active rows, factors P = local + jump
+mass + gradient terms (+ shift) and keeps J the jump gather.  The runtime
+diagnostics check the a priori sandwich 0 <= u <= C1 and record the
+gradient sup.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ _SANDWICH_TOL = 1e-8
 # the residual below _TOL_RES_FACTOR (1 + max |h|)
 _TOL_UPDATE_FACTOR = 1e-8
 _TOL_RES_FACTOR = 1e-6
+# restart length of the split solves' GMRES
+_GMRES_RESTART = 60
+# a Newton step keeps the cached local LU while the penalty is active on at
+# most this many rows: in exact arithmetic each active row adds at most one
+# GMRES iteration to the base solve's (16 or fewer on the shipped configs),
+# and about half the restart window leaves room for both
+_LOW_RANK_ROWS = 32
 
 
 @dataclass
@@ -68,15 +79,16 @@ def _solve_split(lu, J, b):
     GMRES runs on the left-preconditioned system (I - P^-1 J) x = P^-1 b
     from x = P^-1 b, so its stopping test reads the preconditioned residual;
     the plain residual of a stiff P sits at round-off far above 1e-13 |b|.
+    Returns x and whether GMRES met that test (always so when J = 0).
     """
     x0 = lu.solve(b)
     if J.nnz == 0:
-        return x0
+        return x0, True
     op = spla.LinearOperator(J.shape, matvec=lambda v: v - lu.solve(J @ v),
                              dtype=float)
-    x, _ = spla.gmres(op, x0, x0=x0, rtol=1e-13, atol=0.0, restart=60,
-                      maxiter=20)
-    return x
+    x, info = spla.gmres(op, x0, x0=x0, rtol=1e-13, atol=0.0,
+                         restart=_GMRES_RESTART, maxiter=20)
+    return x, info == 0
 
 
 def _check_linear_residual(matrix, rhs_vec, u):
@@ -108,7 +120,7 @@ def solve_linear_dirichlet(matrix, rhs):
         lu = matrix.local_solver()
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    u = _solve_split(lu, matrix.jump_gather, rhs_vec)
+    u, _ = _solve_split(lu, matrix.jump_gather, rhs_vec)
     _check_linear_residual(matrix, rhs_vec, u)
     return SolutionField.from_interior_vector(matrix.grid, u)
 
@@ -126,21 +138,35 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
 def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
     """Solve (jacobian + lam shift) delta = -res_vec at the iterate w.
 
-    The Jacobian gamma + sum_k diag(2 psi' D_k w) G_k splits as P - J with
-    P = local + jump mass + the gradient terms, so only the sparse P is
-    factorized.  The Levenberg shift adds lam (|jacobian diagonal| + 1).
-    Raises RuntimeError when P is exactly singular.
+    The Jacobian is gamma + sum_k diag(2 psi' D_k w) G_k, and the gradient
+    terms vanish off the penalty's active set.  With no shift and at most
+    _LOW_RANK_ROWS active rows, the step reuses the cached LU of the local
+    M-matrix plus the jump mass and moves the gradient terms into the
+    gather: it splits as local - (J - terms), J the jump gather.  A
+    low-rank solve whose GMRES misses its test falls back to the factored
+    split below; with no active row the two splits are the same.
+    Otherwise P = local + the gradient terms is factorized, and the split
+    is P - J.  The Levenberg shift adds lam (|jacobian diagonal| + 1) to P.
+    Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
     J = mat.jump_gather
     grad_sq, grads = _gradient_sq(problem, w)
     slope = 2.0 * pf.psi_prime(grad_sq - g_int**2)
+    terms = [sp.diags(slope * grads[:, k]) @ G
+             for k, G in enumerate(problem.grad_ops())]
+    active = np.count_nonzero(slope)
+    if lam == 0.0 and active <= _LOW_RANK_ROWS:
+        gather = J - sum(terms) if active else J
+        delta, converged = _solve_split(mat.local_solver(), gather, -res_vec)
+        if converged or not active:
+            return delta
     P = mat.local_matrix()
-    for k, G in enumerate(problem.grad_ops()):
-        P = P + sp.diags(slope * grads[:, k]) @ G
+    for term in terms:
+        P = P + term
     if lam > 0.0:
         P = P + lam * sp.diags(np.abs(P.diagonal() - J.diagonal()) + 1.0)
-    return _solve_split(spla.splu(P.tocsc()), J, -res_vec)
+    return _solve_split(spla.splu(P.tocsc()), J, -res_vec)[0]
 
 
 _STOP_MESSAGES = {

@@ -296,7 +296,11 @@ class OperatorMatrix:
         return self._cache["local"]
 
     def local_solver(self):
-        """Cached factorization of the local M-matrix plus jump mass."""
+        """Cached factorization of the local M-matrix plus jump mass.
+
+        It preconditions the linear Dirichlet solve and every Newton step
+        of nidd that carries no Levenberg shift and few active penalty rows.
+        """
         import scipy.sparse.linalg as spla
         if "local_lu" not in self._cache:
             self._cache["local_lu"] = spla.splu(self.local_matrix().tocsc())

@@ -4,7 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_problem_1d
+from conftest import CONFIGS, make_problem_1d
+from gradcap.config import load_config
 from gradcap.errors import MonotonicityViolation
 from gradcap.geometry import SolutionField
 from gradcap.hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, hjb_residual,
@@ -49,6 +50,24 @@ def test_one_linear_solve_per_problem(monkeypatch):
     assert len(rep.nidd_reports) == 3
     assert len(calls) == 1
     assert all(r.bound_C1 == prob.bound_c1() > 0 for r in rep.nidd_reports)
+    assert len(calls) == 1
+
+
+def test_unconstrained_continuation_factorizes_once(monkeypatch):
+    # the penalty stays inactive, so every Newton step reuses the cached
+    # LU of the local matrix that the linear solve for C1 factorized
+    import scipy.sparse.linalg as spla
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    spec = load_config(CONFIGS / "example_1d_unconstrained.json")
+    rep = solve_hjb(spec.problem, spec.eps_schedule)
+    assert sum(r.iterations for r in rep.nidd_reports) > 0
     assert len(calls) == 1
 
 

@@ -156,3 +156,26 @@ def test_moment_check_ok_for_constructible_models():
                         z_max=float(rng.uniform(0.5, 3.0)),
                         rays=((1.0,), (-1.0,)))
         assert moment_check(lev)["ok"]
+
+
+def test_atom_draws_are_generator_choice_draws():
+    # the cached cdf must reproduce rng.choice(len(p), p=p) draw for draw
+    # and leave the generator where choice leaves it
+    meta = np.random.default_rng(7)
+    for trial in range(50):
+        k = int(meta.integers(1, 12))
+        masses = meta.random(k) ** 3 + 1e-12
+        sizes = meta.uniform(0.05, 2.0, k) * meta.choice((-1.0, 1.0), k)
+        cp = CompoundPoisson(atoms=tuple(((z,), m)
+                                         for z, m in zip(sizes, masses)))
+        delta = float(meta.choice((0.0, 0.5)))
+        keep = np.abs(sizes) >= delta
+        if not keep.any():
+            continue
+        p = masses[keep] / masses[keep].sum()
+        ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        for n in (1, 3, 200):
+            drawn = cp.sample_sizes(ours, n, delta)
+            idx = ref.choice(len(p), size=n, p=p)
+            assert np.array_equal(drawn[:, 0], sizes[keep][idx])
+        assert ours.bit_generator.state == ref.bit_generator.state

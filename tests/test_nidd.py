@@ -12,7 +12,7 @@ from gradcap.errors import (MaxIterationsExceeded, NotApplicable,
 from gradcap.geometry import Box, SolutionField, build_grid
 from gradcap.hjb import solve_hjb
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
-from gradcap.nidd import (_TOL_UPDATE_FACTOR, SolverOptions,
+from gradcap.nidd import (_LOW_RANK_ROWS, _TOL_UPDATE_FACTOR, SolverOptions,
                           _check_linear_residual, _newton_direction,
                           comparison_check, solve_linear_dirichlet,
                           solve_nidd)
@@ -69,25 +69,107 @@ def test_linear_dirichlet_matches_direct_solve(name):
     assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def _newton_system(prob, pf, w):
+    """The residual at w and the assembled Jacobian, with the count of
+    rows where the penalty is active."""
+    g_int = prob.g_interior()
+    grads = interior_gradient(prob.grid, prob.grad_ops(), w)
+    arg = np.sum(grads**2, axis=1) - g_int**2
+    slope = 2.0 * pf.psi_prime(arg)
+    res = prob.matrix().gamma_matrix() @ w + pf.psi(arg) - prob.h_interior()
+    jac = prob.matrix().gamma_matrix() + sum(
+        sp.diags(slope * grads[:, k]) @ G
+        for k, G in enumerate(prob.grad_ops()))
+    return res, jac, np.count_nonzero(slope)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-2])
 def test_newton_direction_matches_assembled_jacobian(lam):
     spec = load_config(CONFIGS / "example_1d_jumps.json")
     prob = spec.problem
     pf = PenaltyFn(0.05)
-    g_int = prob.g_interior()
-    gamma = prob.matrix().gamma_matrix()
     w = solve_linear_dirichlet(prob.matrix(), prob.h_interior())
     w = w.interior_vector()
-    grads = interior_gradient(prob.grid, prob.grad_ops(), w)
-    slope = 2.0 * pf.psi_prime(np.sum(grads**2, axis=1) - g_int**2)
-    assert np.count_nonzero(slope) > 0  # the penalty is active at w
-    res = gamma @ w + pf.psi(np.sum(grads**2, axis=1) - g_int**2) \
-        - prob.h_interior()
-    jac = gamma + sum(sp.diags(slope * grads[:, k]) @ G
-                      for k, G in enumerate(prob.grad_ops()))
+    res, jac, active = _newton_system(prob, pf, w)
+    # the penalty is active at w on too many rows for the cached local LU,
+    # so the step factors the Jacobian's split
+    assert active > _LOW_RANK_ROWS
     jac = jac + lam * sp.diags(np.abs(jac.diagonal()) + 1.0)
     ref = spla.spsolve(jac.tocsc(), -res)
-    delta = _newton_direction(prob, pf, g_int, w, res, lam)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res, lam)
+    assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _forbid_factorization(monkeypatch, prob):
+    prob.matrix().local_solver()  # the one LU a Newton step may reuse
+
+    def splu(*args, **kwargs):
+        raise AssertionError("the Newton step factorized a matrix")
+
+    monkeypatch.setattr(spla, "splu", splu)
+
+
+@pytest.fixture(scope="module")
+def ball_at_1e4():
+    # the 2D ball's solution at its last eps, 1e-4: the penalty is active
+    # on a handful of rows at the free-boundary rim
+    spec = load_config(CONFIGS / "example_2d_ball.json")
+    rep = solve_hjb(spec.problem, spec.eps_schedule)
+    assert rep.nidd_reports[-1].eps == 1e-4
+    return spec.problem, rep.solution.interior_vector()
+
+
+@pytest.mark.parametrize("eps", [1e-4, 5e-5])
+def test_low_rank_newton_direction_matches_assembled_jacobian(
+        monkeypatch, ball_at_1e4, eps):
+    prob, w = ball_at_1e4
+    pf = PenaltyFn(eps)
+    res, jac, active = _newton_system(prob, pf, w)
+    assert 0 < active <= _LOW_RANK_ROWS
+    ref = spla.spsolve(jac.tocsc(), -res)
+    _forbid_factorization(monkeypatch, prob)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_unconverged_low_rank_step_factorizes_the_jacobian(monkeypatch,
+                                                          ball_at_1e4):
+    # a GMRES that reports a missed tolerance sends the step to the
+    # factored split, whose result does not depend on that flag
+    prob, w = ball_at_1e4
+    pf = PenaltyFn(1e-4)
+    res, jac, active = _newton_system(prob, pf, w)
+    assert 0 < active <= _LOW_RANK_ROWS
+    ref = spla.spsolve(jac.tocsc(), -res)
+    prob.matrix().local_solver()
+    gmres, splu = spla.gmres, spla.splu
+    factored = []
+
+    def unconverged(*args, **kwargs):
+        return gmres(*args, **kwargs)[0], 1
+
+    def counting(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", unconverged)
+    monkeypatch.setattr(spla, "splu", counting)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    assert len(factored) == 1
+    assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_inactive_penalty_newton_direction_factorizes_nothing(monkeypatch):
+    spec = load_config(CONFIGS / "example_2d_ball.json")
+    prob = spec.problem
+    pf = PenaltyFn(0.1)
+    w = solve_linear_dirichlet(prob.matrix(), 0.1 * prob.h_interior())
+    w = w.interior_vector()
+    res, jac, active = _newton_system(prob, pf, w)
+    assert active == 0
+    ref = spla.spsolve(jac.tocsc(), -res)
+    _forbid_factorization(monkeypatch, prob)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
