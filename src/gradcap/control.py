@@ -9,34 +9,38 @@ process as it stands.  Paths stop at the first state outside the open
 domain or at the horizon cap; the discount makes the cap bias negligible.
 
 Every control answers one question per step, `act(X, t, g_cost) ->
-(rate, direction, effort)` with t the clocks of the rows of X, and lists
-its impulses in `pushes`, each along a unit direction (`_unit`); the step
-charges the running cost h plus `effort`.  Each pool step calls every
-control's `act` once on its block of live rows and `h_cost`, `drift` and
-`sigma` once on all of them, so the rows h_cost sees over a simulation add
-up to its path steps.  The feedback policy's node table is column-major,
-one row per quantity and one column per lattice node, so a step gathers
-each stencil corner with one `take`.  Cost conventions: absolutely
-continuous policies price their push rate by the conjugate penalty;
-singular test controls pay the constraint weight g times their rate, and
-g along each impulse segment (Gauss-Legendre along the straight
-displacement).
+(rate, direction, effort)` with t the clocks of the rows of X, each of the
+three broadcastable to the block (a scalar rate or effort, a `(d,)`
+direction, where these are the same on every row), and lists its impulses
+in `pushes`, each along a unit direction (`_unit`); the step charges the
+running cost h plus `effort`.  Each pool step calls every control's `act`
+once on its block of live rows and `h_cost`, `drift` and `sigma` once on
+all of them, so the rows h_cost sees over a simulation add up to its path
+steps.  The feedback policy's node table is column-major, one row per
+quantity and one column per lattice node, so a step gathers each stencil
+corner with one `take`.  Cost conventions: absolutely continuous policies
+price their push rate by the conjugate penalty; singular test controls pay
+the constraint weight g times their rate, and g along each impulse segment
+(Gauss-Legendre along the straight displacement).
 
 All paths of a check, whatever their control or start point, run in one
-pool of slots that one budget of standard normals sizes: about
+pool of seed slots that one budget of standard normals sizes: about
 `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots, each drawing its
-normals `_NORMALS_BUDGET // (slots * d)` steps at a time.  A path carries
-its own step counter and clock, and the slot it leaves on exit takes the
-next queued path of the same control, so a check pays the per-step Python
-overhead of one horizon tail, not one per estimate.  Per-path seeds keep
-every estimate independent of the pooling.  The pool's normals sit in a
-memory mapping of their own that is returned when the pool ends.
+normals `_NORMALS_BUDGET // (slots * d)` steps at a time.  The paths that
+draw one seed, as path i of every entry of a `verify` does, form a group:
+they enter one slot together and share its generator, its jump draw and
+its row of normals, while each keeps its own row of state.  A path
+carries its own step counter and clock, and a slot whose last path has
+exited takes the next queued seed, so a check pays the per-step Python
+overhead of one horizon tail, not one per estimate.  A path reads only
+its own seed's stream, so every estimate is independent of the pooling.
+The pool's normals sit in a memory mapping of their own that is returned
+when the pool ends.
 """
 
 from __future__ import annotations
 
 import mmap
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -80,16 +84,17 @@ class SdeParams:
     `drift` is the drift b the Euler step uses, the operator's own; jumps
     are sampled uncompensated, which is the process the operator generates
     for a bounded-variation measure.  The noise dimension equals the state
-    dimension (sigma maps to (n, d, d)).  The engine calls drift, sigma and
-    h_cost once per step on the live paths; the sigma of `sde_from_problem`
-    broadcasts one matrix factored in advance.  The horizon cap `t_max`
-    defaults to 14 / q, where the discount e^(-14) ~ 8e-7 makes the bias
-    of the cap negligible.
+    dimension (sigma maps to (n, d, d), or to (1, d, d) where one matrix
+    serves every state).  The engine calls drift, sigma and h_cost once per
+    step on the live paths; the sigma of `sde_from_problem` returns the one
+    matrix it factored in advance.  The horizon cap `t_max` defaults to
+    14 / q, where the discount e^(-14) ~ 8e-7 makes the bias of the cap
+    negligible.
     """
 
     domain: object
     drift: object            # X (n,d) -> (n,d)
-    sigma: object            # X (n,d) -> (n,d,d)
+    sigma: object            # X (n,d) -> (n,d,d) or (1,d,d)
     q: float
     h_cost: object           # X (n,d) -> (n,)
     g_cost: object           # X (n,d) -> (n,)
@@ -147,10 +152,11 @@ def sde_from_problem(problem, q=None, levy=None, jump_truncation=None,
                 "s", "simulation requires jump density s identically 1")
 
     coeffs = problem.coeffs
-    sig0 = _matrix_sqrt_batched(2.0 * a_vals[:1])[0]
+    sig0 = _matrix_sqrt_batched(2.0 * a_vals[:1])
+    sig0.flags.writeable = False
 
     def sigma_fn(X):
-        return np.broadcast_to(sig0, (X.shape[0],) + sig0.shape)
+        return sig0
 
     return SdeParams(domain=grid.domain, drift=coeffs.b, sigma=sigma_fn,
                      h_cost=coeffs.h, g_cost=coeffs.g, **own, **sde)
@@ -194,22 +200,22 @@ class ConstantRate:
     def __post_init__(self):
         self.n = _unit(self.n)
         _check_rates(self.rate)
+        self._dir = np.array(self.n)
         self._pf = PenaltyFn(self.eps)
         self._g_priced = self._prices = None
 
     def act(self, X, t, g_cost):
-        rate = np.full(X.shape[0], float(self.rate))
-        n = np.broadcast_to(np.array(self.n), X.shape)
-        if self.rate == 0:
+        rate = float(self.rate)
+        if rate == 0:
             # zero effort costs exactly zero
-            return rate, n, np.zeros(X.shape[0])
+            return rate, self._dir, 0.0
         g_vals, where = np.unique(np.asarray(g_cost(X), dtype=float),
                                   return_inverse=True)
         if not np.array_equal(g_vals, self._g_priced):
             self._g_priced = g_vals
             self._prices = self._pf.legendre_batch(
-                g_vals, np.full(g_vals.size, float(self.rate)))
-        return rate, n, self._prices[where]
+                g_vals, np.full(g_vals.size, rate))
+        return rate, self._dir, self._prices[where]
 
 
 class PenalizedFeedback:
@@ -342,6 +348,7 @@ class SingularControlSpec:
             if t <= 0:
                 raise ValueError("push times must be positive")
         self.pushes = tuple((t, _unit(n_p), dz) for t, n_p, dz in self.pushes)
+        self._dir = np.array(self.n)
 
     def rate_at(self, t):
         """Push rate at each clock value of t (a number or an array).
@@ -373,13 +380,33 @@ class SingularControlSpec:
         return rates[at].reshape(t.shape)
 
     def act(self, X, t, g_cost):
-        n = np.broadcast_to(np.array(self.n), X.shape)
-        if not callable(self.rate) and self.rate == 0:
-            # zero effort costs exactly zero
-            zero = np.zeros(X.shape[0])
-            return zero, n, zero
-        rate = self.rate_at(t)
-        return rate, n, np.asarray(g_cost(X), dtype=float) * rate
+        if callable(self.rate):
+            rate = self.rate_at(t)
+        else:
+            rate = float(self.rate)
+            if rate == 0:
+                # zero effort costs exactly zero
+                return rate, self._dir, 0.0
+        return rate, self._dir, np.asarray(g_cost(X), dtype=float) * rate
+
+
+def _seed_groups(jobs):
+    """The paths of `jobs` grouped by the seed they draw.
+
+    Path p of the pool is path p - offsets[j] of job j and draws that
+    job's base seed plus its index.  Returns `by_seed`, `starts` and
+    `seeds` such that the paths of group g, in job order, are
+    `by_seed[starts[g]:starts[g + 1]]` and draw `seeds[g]`; the groups
+    ascend by seed.
+    """
+    sizes = [job[2] for job in jobs]
+    first_seed = np.array([int(job[3]) for job in jobs]) \
+        - (np.cumsum(sizes) - sizes)
+    seeds = np.arange(sum(sizes)) + np.repeat(first_seed, sizes)
+    by_seed = np.argsort(seeds, kind="stable")
+    seeds = seeds[by_seed]
+    starts = np.flatnonzero(np.diff(seeds, prepend=seeds[0] - 1))
+    return by_seed, np.append(starts, seeds.size), seeds[starts]
 
 
 def _simulate_pool(params, jobs):
@@ -391,24 +418,33 @@ def _simulate_pool(params, jobs):
     state outside the domain), whether each path exited and the step count
     it stopped at; and the largest push rate its paths saw.
 
+    The paths that draw one seed form a group, whatever their jobs; a
+    `verify` with one base seed makes path i of every entry one group.
     The pool has about `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots.
-    A slot holds one path: its generator, its step counter k (its clock is
-    k dt) and its row of standard normals.  When the path exits or reaches
-    the horizon, the slot takes the next queued path of the same control,
-    so the pool steps until the last path of all jobs is done.  The
-    controls share the slots in proportion to their paths, so each
-    control's live paths are one block and each step calls its `act` once
-    on a slice, with t the clocks of that block.  The step charges the
-    running cost h plus the returned effort, and pays each impulse of
+    A slot holds one group: its generator and its row of standard normals.
+    The members enter together at one pool step, and each keeps its own
+    row of state: step counter k (its clock is k dt), position, cost and
+    largest rate.  Once the last member has exited or reached the horizon,
+    the slot takes the next queued seed, so the pool steps until the last
+    path of all jobs is done.  The rows are kept in one block per control
+    and in slot order within a block, so each step calls a control's `act`
+    once on a slice, with t the clocks of that block, and a jump finds its
+    group's rows by bisection.  The paths that enter at one step are merged
+    into their blocks, and the exited rows dropped, in one copy of the
+    rows.  With one block `act` answers for every row; the answers of
+    several blocks are written into the step's arrays.  The step charges
+    the running cost h plus the returned effort, and pays each impulse of
     `control.pushes` along its segment.
 
-    A path's generator is made when the path enters a slot and dropped
-    when it leaves.  It yields the path's jumps first and then its
-    increments, so no path's result depends on the others in the pool.
-    All live paths read the same column of their rows of normals at each
+    A group's generator is made when the group enters a slot and dropped
+    when it leaves.  It yields the group's jumps first and then its
+    increments, which every member reads, so each path sees the stream of
+    its own seed and no path's result depends on the others in the pool.
+    All live rows read the same column of their slots' normals at each
     pool step: the rows are refilled together, `_NORMALS_BUDGET // (slots
     * d)` steps at a time (at least `_MIN_CHUNK_STEPS`), when that column
-    wraps to 0, and a path that enters mid-row draws only the columns left.
+    wraps to 0, and a group that enters mid-row draws only the columns
+    left.
     """
     d = params.domain.dim
     dt = params.dt
@@ -416,15 +452,16 @@ def _simulate_pool(params, jobs):
     n_steps = int(np.ceil(params.t_max / dt))
     sqrt_dt = np.sqrt(dt)
 
-    # path p is path p - offsets[j] of job j; each distinct control queues
-    # the paths of its jobs (in any order: no path depends on another)
-    controls, impulses, queues, x0s, offsets = [], [], [], [], [0]
-    for control, x0, n_paths, _ in jobs:
+    # each distinct control owns one block of rows
+    controls, impulses, job_ctrl = [], [], []
+    x0s = np.empty((len(jobs), d))
+    for j, (control, x0, n_paths, _) in enumerate(jobs):
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        x0s.append(np.asarray(x0, dtype=float))
-        if not params.domain.contains(x0s[-1]):
-            raise StartOutsideDomain(f"x0={x0s[-1]} is not inside the domain")
+        x0 = np.asarray(x0, dtype=float)
+        if not params.domain.contains(x0):
+            raise StartOutsideDomain(f"x0={x0} is not inside the domain")
+        x0s[j] = x0
         c = next((i for i, known in enumerate(controls) if known is control),
                  len(controls))
         if c == len(controls):
@@ -432,12 +469,17 @@ def _simulate_pool(params, jobs):
             impulses += [(c, t_p, np.asarray(n_p, dtype=float), dz)
                          for t_p, n_p, dz
                          in sorted(control.pushes, key=lambda p: p[0])]
-            queues.append([])
-        queues[c].extend(range(offsets[-1], offsets[-1] + n_paths))
-        offsets.append(offsets[-1] + n_paths)
-    n_total = offsets[-1]
-    if not n_total:
+        job_ctrl.append(c)
+    if not jobs:
         return []
+
+    job_ctrl = np.array(job_ctrl)
+    by_seed, starts, group_seed = _seed_groups(jobs)
+    offsets = [0, *accumulate(job[2] for job in jobs)]
+    n_total = offsets[-1]
+
+    def job_of(paths):
+        return np.searchsorted(offsets, paths, side="right") - 1
 
     # outputs of every path p
     cost_out = np.zeros(n_total)
@@ -448,70 +490,126 @@ def _simulate_pool(params, jobs):
 
     # the discount at each step, computed as exp(-q t) with t = k dt
     disc = np.array([np.exp(-q * (k * dt)) for k in range(n_steps)])
-    # each control's share of the slots follows its share of the paths
-    counts = np.array([len(queue) for queue in queues])
-    cap = _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)
-    share = counts if n_total <= cap \
-        else np.maximum(counts * cap // n_total, 1)
-    n_slots = int(share.sum())
+    n_groups = group_seed.size
+    n_slots = min(n_groups, _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d))
     chunk = min(max(_NORMALS_BUDGET // (n_slots * d), _MIN_CHUNK_STEPS),
                 n_steps)
     normals = _mapped_empty((n_slots, chunk, d))
     rngs = [None] * n_slots
-    held = np.full(n_slots, -1)     # the path in each slot, -1 if none
-    due = {}                        # pool step -> (slot, path, jump size)
+    held = np.full(n_slots, -1)     # the group in each slot, -1 if none
+    left = [0] * n_slots            # that group's live rows
+    due = {}                        # pool step -> (slot, group, jump size)
+    queued = 0                      # the next group to enter, in seed order
 
-    # live paths in control blocks (`bounds`), slots ascending within the
-    # pool: slot, step counter, state, discounted cost and largest rate
-    live = [int(n) for n in share]
-    bounds = [0, *accumulate(live)]
-    slot = np.arange(n_slots)
-    k = np.zeros(n_slots, dtype=int)
-    x = np.empty((n_slots, d))
-    cost = np.zeros(n_slots)
-    rmax = np.zeros(n_slots)
+    # live rows in control blocks (`bounds`): slot, path, step counter,
+    # state, discounted cost and largest rate
+    bounds = np.zeros(len(controls) + 1, dtype=int)
+    slot = np.empty(0, dtype=int)
+    path = np.empty(0, dtype=int)
+    k = np.empty(0, dtype=int)
+    x = np.empty((0, d))
+    cost = np.empty(0)
+    rmax = np.empty(0)
 
-    def enter(e, c, it):
-        """Start the next queued path of control c in entry e at pool
-        step it."""
-        s, p = slot[e], queues[c].pop()
-        j = bisect_right(offsets, p) - 1
-        rng = np.random.default_rng(int(jobs[j][3] + p - offsets[j]))
-        push_times = [t_p for c_p, t_p, _, _ in impulses if c_p == c]
+    def enter(s, g, it):
+        """Start group g in slot s at pool step it."""
+        rng = np.random.default_rng(int(group_seed[g]))
         jumps = () if params.levy is None else sample_jumps(
             params.levy, params.jump_truncation, params.t_max, rng)
+        if jumps and impulses:
+            cs = set(job_ctrl[job_of(by_seed[starts[g]:starts[g + 1]])])
+            pushed = {t_p for c, t_p, _, _ in impulses if c in cs}
+            for t_j, _ in jumps:
+                if t_j in pushed:
+                    raise PushOutsideAdmissible(
+                        f"push requested at jump time t={t_j}")
         for t_j, z in jumps:
-            if t_j in push_times:
-                raise PushOutsideAdmissible(
-                    f"push requested at jump time t={t_j}")
             # a jump in (k dt, (k+1) dt] lands at the end of step k
             step = it + max(min(int(np.ceil(t_j / dt)) - 1, n_steps - 1), 0)
-            due.setdefault(step, []).append((s, p, z))
+            due.setdefault(step, []).append((s, g, z))
         # normals for the pool steps up to the next refill of all slots
         if it % chunk:
             rng.standard_normal(out=normals[s, it % chunk:])
-        rngs[s], held[s] = rng, p
-        k[e], x[e] = 0, x0s[j]
-        cost[e] = rmax[e] = 0.0
+        rngs[s], held[s] = rng, g
+        left[s] = int(starts[g + 1] - starts[g])
 
-    for c in range(len(controls)):
-        for e in range(bounds[c], bounds[c + 1]):
-            enter(e, c, 0)
+    def restock(free, vacated, it):
+        """Drop the `free` rows, hand the `vacated` slots to the next
+        queued seeds at pool step it, and merge the rows of their paths
+        into their controls' blocks, in slot order."""
+        nonlocal queued, bounds, slot, path, k, x, cost, rmax
+        keep = np.ones(k.size, dtype=bool)
+        keep[free] = False
+        # take, not a mask: it copies the rows of x several times faster
+        kept = np.flatnonzero(keep)
+        bounds = bounds - np.searchsorted(free, bounds)
+        # the next queued groups, g0 to queued, go to the slots in turn
+        g0 = queued
+        queued = min(g0 + len(vacated), n_groups)
+        if queued == g0:
+            slot, path, k, x, cost, rmax = (arr.take(kept, axis=0) for arr in
+                                            (slot, path, k, x, cost, rmax))
+        else:
+            # their paths are one run of by_seed; order them by control,
+            # and by slot within a control, so that a jump finds its rows
+            # by bisection (a scan of all rows per jump costs more)
+            mem = by_seed[starts[g0]:starts[queued]]
+            mem_slot = np.repeat(vacated[:queued - g0],
+                                 np.diff(starts[g0:queued + 1]))
+            mem_job = job_of(mem)
+            order = np.lexsort((mem_slot, job_ctrl[mem_job]))
+            mem, mem_slot, mem_job = mem[order], mem_slot[order], \
+                mem_job[order]
+            by_ctrl = np.searchsorted(job_ctrl[mem_job],
+                                      np.arange(bounds.size))
+            # where each member lands among its block's kept rows
+            kept_slot = slot.take(kept)
+            at = np.concatenate([
+                np.searchsorted(kept_slot[bounds[c]:bounds[c + 1]],
+                                mem_slot[by_ctrl[c]:by_ctrl[c + 1]])
+                + bounds[c] for c in range(len(controls))])
+            at += np.arange(mem.size)
+            # the kept rows and the members in the merged order, one copy
+            kept_at = np.ones(kept.size + mem.size, dtype=bool)
+            kept_at[at] = False
+            new = (mem_slot, mem, 0, x0s[mem_job], 0.0, 0.0)
+            rows = []
+            for arr, add in zip((slot, path, k, x, cost, rmax), new):
+                out = np.empty((kept_at.size,) + arr.shape[1:], arr.dtype)
+                out[kept_at] = arr.take(kept, axis=0)
+                out[at] = add
+                rows.append(out)
+            slot, path, k, x, cost, rmax = rows
+            bounds = bounds + by_ctrl
+        for g, s in enumerate(vacated, g0):
+            rngs[s], held[s] = None, -1
+            if g < queued:
+                enter(s, g, it)
+
+    restock(np.empty(0, dtype=int), range(n_slots), 0)
     it = 0
     while k.size:
         col = it % chunk
         if col == 0:
-            for s in slot:
-                rngs[s].standard_normal(out=normals[s])
+            for s, rng in enumerate(rngs):
+                if rng is not None:
+                    rng.standard_normal(out=normals[s])
         t = k * dt
 
         # running cost plus control effort at the left endpoint, one `act`
-        # call on each control's block
-        acts = [control.act(x[a:b], t[a:b], params.g_cost)
-                for control, a, b in zip(controls, bounds[:-1], bounds[1:])
-                if b > a]
-        rate, n_dir, effort = acts[0] if len(acts) == 1 \
-            else (np.concatenate(out) for out in zip(*acts))
+        # call on each control's block; the answers of several blocks are
+        # written into the step's arrays
+        blocks = [(control, a, b) for control, a, b
+                  in zip(controls, bounds[:-1], bounds[1:]) if b > a]
+        if len(blocks) == 1:
+            rate, n_dir, effort = blocks[0][0].act(x, t, params.g_cost)
+        else:
+            rate = np.empty(k.size)
+            n_dir = np.empty((k.size, d))
+            effort = np.empty(k.size)
+            for control, a, b in blocks:
+                rate[a:b], n_dir[a:b], effort[a:b] = control.act(
+                    x[a:b], t[a:b], params.g_cost)
         np.maximum(rmax, rate, out=rmax)
         run = np.asarray(params.h_cost(x), dtype=float) + effort
         run *= disc.take(k)
@@ -520,7 +618,8 @@ def _simulate_pool(params, jobs):
 
         # Euler step: drift (including the control push) plus diffusion,
         # both read before x moves in place
-        push = n_dir * rate[:, None]
+        push = np.multiply(n_dir, np.reshape(rate, (-1, 1)),
+                           out=np.empty_like(x))
         push += params.drift(x)
         push *= dt
         sig = np.asarray(params.sigma(x), dtype=float)
@@ -530,11 +629,12 @@ def _simulate_pool(params, jobs):
         x += noise
 
         # jumps scheduled in (t, t+dt], applied at step end as own events,
-        # for the paths still in their slots
-        for s, p, z in due.pop(it, ()):
-            if held[s] == p:
-                e = np.searchsorted(slot, s)
-                x[e] = x[e] + z
+        # for the groups still in their slots
+        for s, g, z in due.pop(it, ()):
+            if held[s] == g:
+                for a, b in zip(bounds[:-1], bounds[1:]):
+                    lo, hi = a + np.searchsorted(slot[a:b], (s, s + 1))
+                    x[lo:hi] += z
 
         # impulses scheduled in this step (never at a jump time)
         for c, t_push, n_push, dz in impulses:
@@ -555,37 +655,25 @@ def _simulate_pool(params, jobs):
 
         inside = params.domain.contains_batch(x)
         k += 1
-        done = ~inside
-        if it + 1 >= n_steps:
-            done |= k == n_steps
         it += 1
-        done = np.flatnonzero(done)
+        if it < n_steps and inside.all():
+            continue
+        # a path reaches the horizon only after the pool's first n_steps
+        done = np.flatnonzero(~inside | (k == n_steps))
         if not done.size:
             continue
-        p = held[slot[done]]
+        p = path[done]
         cost_out[p] = cost[done]
         final_out[p] = x.take(done, axis=0)
         rate_out[p] = rmax[done]
         exited_out[p] = ~inside[done]
         steps_out[p] = k[done]
-        vacant = []
-        for e in done:
-            s = slot[e]
-            rngs[s], held[s] = None, -1
-            c = bisect_right(bounds, e) - 1
-            if queues[c]:
-                enter(e, c, it)
-            else:
-                vacant.append(e)
-                live[c] -= 1
-        if vacant:
-            keep = np.ones(k.size, dtype=bool)
-            keep[vacant] = False
-            # take, not a mask: it copies the rows of x several times faster
-            kept = np.flatnonzero(keep)
-            slot, k, x, cost, rmax = (arr.take(kept, axis=0)
-                                      for arr in (slot, k, x, cost, rmax))
-            bounds = [0, *accumulate(live)]
+        vacated = []
+        for s in slot[done].tolist():
+            left[s] -= 1
+            if not left[s]:
+                vacated.append(s)
+        restock(done, vacated, it)
 
     return [{
         "cost": cost_out[lo:hi].copy(),

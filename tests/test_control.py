@@ -136,6 +136,11 @@ def test_push_at_jump_time_rejected():
                                    pushes=((t_jump, (1.0,), 0.1),))
     with pytest.raises(PushOutsideAdmissible):
         estimate(par, spec, np.array([0.0]), 1, 9)
+    # pooled behind a job without pushes that draws the same seed, the
+    # impulse control's path shares that job's jump draw and is checked too
+    with pytest.raises(PushOutsideAdmissible):
+        ctl.estimate_jobs(par, [(null(), np.array([0.0]), 1, 9),
+                                (spec, np.array([0.5]), 1, 9)])
 
 
 def test_start_outside_domain():
@@ -396,11 +401,9 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
         (full.mean, full.stderr, full.max_rate_observed)
 
 
-def test_pooled_jobs_equal_separate_estimates(monkeypatch):
-    # four kinds of control at two start points, with compound-Poisson
-    # jumps; the pool of 8 slots refills many times over for 96 paths
-    prob = make_control_problem_2d()
-    params = ctl.sde_from_problem(prob, t_max=1.5)
+def _four_controls_2d():
+    """Null, constant-rate, callable-rate and impulse controls, and two
+    start points in the unit ball."""
     controls = [
         null(2),
         ctl.ConstantRate(n=(1.0, 0.0), rate=0.3, eps=0.1),
@@ -409,7 +412,15 @@ def test_pooled_jobs_equal_separate_estimates(monkeypatch):
         ctl.SingularControlSpec(n=(0.0, -1.0), rate=0.2,
                                 pushes=((0.3, (1.0, 1.0), 0.1),)),
     ]
-    x0s = [np.array([0.2, -0.1]), np.array([-0.3, 0.4])]
+    return controls, [np.array([0.2, -0.1]), np.array([-0.3, 0.4])]
+
+
+def test_pooled_jobs_equal_separate_estimates(monkeypatch):
+    # four kinds of control at two start points, with compound-Poisson
+    # jumps; the pool of 8 slots refills many times over for 96 paths
+    prob = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, t_max=1.5)
+    controls, x0s = _four_controls_2d()
     jobs = [(c, x0, 12, 40 + 12 * i) for i, c in enumerate(controls)
             for x0 in x0s]
     alone = [estimate(params, c, x0, n, seed)
@@ -422,6 +433,69 @@ def test_pooled_jobs_equal_separate_estimates(monkeypatch):
         assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
             == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
     assert ctl.estimate_jobs(params, []) == []
+
+
+def test_shared_seed_jobs_equal_separate_estimates(monkeypatch):
+    # four kinds of control at two start points, all from one base seed as
+    # `verify` seeds them: path i of every job draws seed 40 + i, so each
+    # seed is a group of 8 paths; 24 groups re-enter a pool of 8 slots,
+    # with compound-Poisson jumps
+    prob = make_control_problem_2d()
+    params = ctl.sde_from_problem(prob, t_max=1.5)
+    controls, x0s = _four_controls_2d()
+    jobs = [(c, x0, 24, 40) for c in controls for x0 in x0s]
+    alone = [estimate(params, *job) for job in jobs]
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    pooled = ctl.estimate_jobs(params, jobs)
+    assert all(est.max_rate_observed > 0 for est in alone[2:])
+    assert len({est.mean for est in alone}) == len(jobs)
+    for a, b in zip(alone, pooled, strict=True):
+        assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
+            == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
+
+
+def test_groups_entering_at_one_step_merge_into_their_blocks(monkeypatch):
+    # with no noise every path from x0 = 0.9 exits at one step; then seeds
+    # 8-11 leave block 0 and seeds 0-3 block 1 together, and the eight
+    # groups queued behind them enter block 0 around the rows of seeds 4-7
+    par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
+                      drift=lambda X: -np.ones_like(X), t_max=2.5)
+    # two distinct controls, so two blocks
+    first, second = null(), null()
+    jobs = [(first, np.array([0.9]), 4, 8), (second, np.array([0.9]), 4, 0),
+            (first, np.array([-0.9]), 4, 4),
+            (second, np.array([-0.9]), 4, 12),
+            (first, np.array([0.0]), 8, 16)]
+    alone = [ctl._simulate_pool(par, [job])[0] for job in jobs]
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    pooled = ctl._simulate_pool(par, jobs)
+    for a, b in zip(alone, pooled, strict=True):
+        for key in ("cost", "final", "exited", "steps"):
+            assert np.array_equal(a[key], b[key])
+    assert [int(out["steps"][0]) for out in pooled] == \
+        [100, 100, 1900, 1900, 1000]
+
+
+def test_singular_verify_makes_one_generator_per_seed(monkeypatch):
+    # three controls share the base seed, so n paths need n generators
+    prob = make_control_problem()
+    params = ctl.sde_from_problem(prob, t_max=1.0)
+    x = prob.grid.interior_points()[:, 0]
+    fld = SolutionField.from_interior_vector(prob.grid, 0.3 * (1.0 - x**2))
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    controls = [null(), ctl.SingularControlSpec(n=(1.0,), rate=0.25),
+                ctl.SingularControlSpec(n=(-1.0,), rate=0.25)]
+    rep = ctl.verify_value_equality(prob, fld, "singular", [np.array([0.0])],
+                                    30, 11, params=params, controls=controls)
+    assert len(rep.entries) == 3
+    assert sorted(seeds) == list(range(11, 41))
 
 
 def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
@@ -489,8 +563,10 @@ def test_constant_rate_prices_each_distinct_g():
     for radius in (1.0, 1.0, 0.4):
         X = rng.uniform(-radius, radius, size=(500, 2))
         rate, n, effort = cr.act(X, 0.0, g_fn)
-        assert np.array_equal(rate, np.full(500, 0.7))
-        assert np.array_equal(n, np.broadcast_to([1.0, 0.0], X.shape))
+        # the rate and direction are the same on every row: one number and
+        # one (d,) vector, broadcast to the block by the caller
+        assert np.shape(rate) == () and rate == 0.7
+        assert n.shape == (2,) and np.array_equal(n, [1.0, 0.0])
         ref = PenaltyFn(0.1).legendre_batch(g_fn(X), rate)
         assert np.array_equal(effort, ref)
 

@@ -17,9 +17,11 @@ JSON of that field, `simulate` (null, constant and penalized policies) and
 `solve-nidd` run that does not converge (`example_1d_tight` at eps 1e-4).
 The library cases print the mean, standard error and largest push rate in
 hex of 2D estimates: penalized verification with compound-Poisson jumps in
-the unit ball and in a box, an impulse along (1, 1), a callable rate, and a
-pooled call of several controls at two start points; and the exit flag,
-exit time and cost of one `simulate_path` under the impulse control.
+the unit ball and in a box, an impulse along (1, 1), a callable rate, a
+pooled call of four controls at two start points, and the same call with
+one base seed for all eight jobs, as `verify` seeds its entries; and the
+exit flag, exit time and cost of one `simulate_path` under the impulse
+control.
 Every control direction is a unit vector.  The whole run takes about 20 s
 on two cores.
 """
@@ -174,6 +176,11 @@ def library_cases():
             for x0 in x0s]
     for i, est in enumerate(ctl.estimate_jobs(params, jobs)):
         yield f"2d pooled job {i} {_hex(est)}"
+    # one base seed for every job, as `verify` seeds its entries: path i
+    # of all eight jobs draws seed 40 + i
+    shared = [(c, x0, n, 40) for c, x0, n, _ in jobs]
+    for i, est in enumerate(ctl.estimate_jobs(params, shared)):
+        yield f"2d shared-seed pooled job {i} {_hex(est)}"
 
 
 def main(argv=None):
