@@ -12,6 +12,7 @@ import ast
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ _ALLOWED_NODES = (
 def compile_expr(body, var_names, field_path):
     """Compile a whitelisted arithmetic expression into a vectorized callable.
 
-    The returned function takes an environment dict of numpy arrays keyed by
-    `var_names` and evaluates elementwise.
+    The returned function takes one numpy array per name of `var_names`,
+    positionally and in that order, and evaluates elementwise.
     """
     try:
         tree = ast.parse(body, mode="eval")
@@ -59,38 +60,40 @@ def compile_expr(body, var_names, field_path):
         if isinstance(node, ast.Name) and node.id not in var_names \
                 and node.id not in _ALLOWED_FUNCS:
             raise ValidationError(field_path, f"unknown name {node.id!r}")
-        if isinstance(node, ast.Constant) \
-                and not isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and (
+                isinstance(node.value, bool)
+                or not isinstance(node.value, (int, float))):
             raise ValidationError(field_path, "only numeric constants allowed")
-    code = compile(tree, f"<{field_path}>", "eval")
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(arg=name)
+                                               for name in var_names],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    fn = ast.fix_missing_locations(ast.Expression(
+        body=ast.Lambda(args=args, body=tree.body)))
+    return eval(compile(fn, f"<{field_path}>", "eval"),
+                {"__builtins__": {}, **_ALLOWED_FUNCS})
 
-    def run(env):
-        scope = dict(_ALLOWED_FUNCS)
-        scope.update(env)
-        return eval(code, {"__builtins__": {}}, scope)
 
-    return run
-
-
-def _coord_env(X, dim):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    env = {"x": X[:, 0]}
-    if dim == 2:
-        env["y"] = X[:, 1]
-    return env
+def _number(value, field_path):
+    """Whether value is a number; a bool, or a number that is not a finite
+    float (NaN, an infinity or an integer past the float range), is
+    rejected."""
+    if isinstance(value, bool) or isinstance(value, (int, float)) \
+            and not abs(value) <= sys.float_info.max:
+        raise ValidationError(field_path,
+                              f"expected a finite number, got {value!r}")
+    return isinstance(value, (int, float))
 
 
 def _scalar_field(value, dim, field_path):
-    if isinstance(value, (int, float)):
+    if _number(value, field_path):
         v = float(value)
         return lambda X: np.full(np.atleast_2d(X).shape[0], v)
     if isinstance(value, str):
-        names = {"x", "y"} if dim == 2 else {"x"}
-        fn = compile_expr(value, names, field_path)
+        fn = compile_expr(value, ("x", "y")[:dim], field_path)
 
         def call(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
-            out = fn(_coord_env(X, dim))
+            out = fn(*X.T)
             # an array the expression computed is the caller's already; a
             # number, or a coordinate itself, is copied out to (n,)
             if isinstance(out, np.ndarray) and out.flags.owndata \
@@ -205,18 +208,13 @@ def _parse_jump_density(d, dim):
             raise ValidationError("jump_density.value", str(exc)) from exc
     if kind == "expr":
         _expect_keys(d, "jump_density", ("type", "body"))
-        names = {"x", "z"} if dim == 1 else {"x", "y", "z0", "z1"}
+        names = ("x", "z") if dim == 1 else ("x", "y", "z0", "z1")
         fn = compile_expr(d["body"], names, "jump_density.body")
 
         def call(X, z):
             X = np.atleast_2d(np.asarray(X, dtype=float))
-            env = _coord_env(X, dim)
             z = np.atleast_1d(np.asarray(z, dtype=float))
-            if dim == 1:
-                env["z"] = z[0]
-            else:
-                env["z0"], env["z1"] = z[0], z[1]
-            out = np.asarray(fn(env), dtype=float)
+            out = np.asarray(fn(*X.T, *z), dtype=float)
             return np.broadcast_to(out, (X.shape[0],)).astype(float)
 
         return JumpDensity(fn=call)
@@ -224,12 +222,17 @@ def _parse_jump_density(d, dim):
 
 
 def _parse_matrix_field(value, dim, field_path):
-    if isinstance(value, (int, float)):
+    if _number(value, field_path):
         mat = np.eye(dim) * float(value)
     elif isinstance(value, list):
         mat = np.asarray(value, dtype=float)
         if mat.shape != (dim, dim):
             raise ValidationError(field_path, f"expected a {dim}x{dim} matrix")
+        for i, row in enumerate(value):
+            for k, entry in enumerate(row):
+                if not _number(entry, f"{field_path}[{i}][{k}]"):
+                    raise ValidationError(f"{field_path}[{i}][{k}]",
+                                          "expected a number")
         if not np.allclose(mat, mat.T):
             raise ValidationError(field_path, "matrix must be symmetric")
     else:
@@ -243,12 +246,12 @@ def _parse_matrix_field(value, dim, field_path):
 
 
 def _parse_vector_field(value, dim, field_path):
-    if isinstance(value, (int, float)):
+    if _number(value, field_path):
         value = [value] * dim
     if not isinstance(value, list) or len(value) != dim:
         raise ValidationError(field_path, f"expected {dim} components")
     # a numeric component is written as it is, an expression evaluated
-    comps = [float(v) if isinstance(v, (int, float))
+    comps = [float(v) if _number(v, f"{field_path}[{k}]")
              else _scalar_field(v, dim, f"{field_path}[{k}]")
              for k, v in enumerate(value)]
 

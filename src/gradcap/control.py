@@ -9,10 +9,10 @@ process as it stands.  Paths stop at the first state outside the open
 domain or at the horizon cap; the discount makes the cap bias negligible.
 
 Every control answers one question per step, `act(X, t, g_cost) ->
-(rate, direction, effort)` with t the clocks of the rows of X, each of the
-three broadcastable to the block (a scalar rate or effort, a `(d,)`
-direction, where these are the same on every row), and lists its impulses
-in `pushes`, each along a unit direction (`_unit`); the step charges the
+(rate, direction, effort)` with t the clock of the step, each of the three
+broadcastable to the block (a scalar rate or effort, a `(d,)` direction,
+where these are the same on every row), and lists its impulses in
+`pushes`, each along a unit direction (`_unit`); the step charges the
 running cost h plus `effort`.  Each pool step calls every control's `act`
 once on its block of live rows and `h_cost`, `drift` and `sigma` once on
 all of them, so the rows h_cost sees over a simulation add up to its path
@@ -24,24 +24,20 @@ the constraint weight g times their rate, and g along each impulse segment
 (Gauss-Legendre along the straight displacement).
 
 All paths of a check, whatever their control or start point, run in one
-pool of seed slots that one budget of standard normals sizes: about
-`_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots, each drawing its
-normals `_NORMALS_BUDGET // (slots * d)` steps at a time.  The paths that
-draw one seed, as path i of every entry of a `verify` does, form a group:
-they enter one slot together and share its generator, its jump draw and
-its row of normals, while each keeps its own row of state.  A path
-carries its own step counter and clock, and a slot whose last path has
-exited takes the next queued seed, so a check pays the per-step Python
-overhead of one horizon tail, not one per estimate.  A path reads only
-its own seed's stream, so every estimate is independent of the pooling.
-The pool's normals sit in a memory mapping of their own that is returned
-when the pool ends.
+pool.  The paths that draw one seed, as path i of every entry of a
+`verify` does, form a group: they share one generator, one jump draw and
+one row of standard normals, while each keeps its own row of state.  Every
+path starts at the pool's first step, so the pool's step count is every
+path's clock.  The normals are drawn `_NORMALS_BUDGET // (groups * d)`
+steps at a time (at least one), and the buffer sits in a memory mapping of
+its own that is returned when the pool ends.  A path reads only its own
+seed's stream, so every estimate is independent of the pooling.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -56,11 +52,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL01_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
-# standard normals the pool may hold at once (16 MB); its slot count and
-# its refill width both follow from it
+# standard normals the pool holds at once (16 MB) while it has at most
+# `_NORMALS_BUDGET // d` seed groups; the refill width follows from it
 _NORMALS_BUDGET = 2**21
-# fewest steps one refill covers, so the per-path refill loop stays rare
-_MIN_CHUNK_STEPS = 256
 
 
 def _mapped_empty(shape):
@@ -334,9 +328,6 @@ class SingularControlSpec:
     n: tuple = (1.0,)
     rate: object = 0.0
     pushes: tuple = ()
-    # clock values a callable rate was evaluated at, sorted, and its rates
-    _known: tuple = field(default=(np.empty(0), np.empty(0)), init=False,
-                          repr=False, compare=False)
 
     def __post_init__(self):
         self.n = _unit(self.n)
@@ -351,42 +342,23 @@ class SingularControlSpec:
         self._dir = np.array(self.n)
 
     def rate_at(self, t):
-        """Push rate at each clock value of t (a number or an array).
+        """Push rate at the clock value t.
 
         A callable rate is a function of time: it is called with a float,
-        so it need not be vectorized, and once per clock value over the
-        life of the spec; each value it returns must be finite and
-        nonnegative.  The pool's clocks are k dt for the step counts k its
-        paths have reached, so each step meets at most one new value.
+        so it need not be vectorized, and each value it returns must be
+        finite and nonnegative.  The pool calls it once per step.
         """
-        t = np.asarray(t, dtype=float)
         if not callable(self.rate):
-            return np.full(t.shape, float(self.rate))
-        flat = t.ravel()
-        clocks, rates = self._known
-        at = np.searchsorted(clocks, flat)
-        seen = at < clocks.size
-        seen[seen] = clocks[at[seen]] == flat[seen]
-        if not seen.all():
-            new = np.unique(flat[~seen])
-            new_rates = [float(self.rate(float(c))) for c in new]
-            _check_rates(new_rates)
-            clocks = np.concatenate((clocks, new))
-            rates = np.concatenate((rates, new_rates))
-            order = np.argsort(clocks)
-            clocks, rates = clocks[order], rates[order]
-            self._known = (clocks, rates)
-            at = np.searchsorted(clocks, flat)
-        return rates[at].reshape(t.shape)
+            return float(self.rate)
+        rate = float(self.rate(float(t)))
+        _check_rates(rate)
+        return rate
 
     def act(self, X, t, g_cost):
-        if callable(self.rate):
-            rate = self.rate_at(t)
-        else:
-            rate = float(self.rate)
-            if rate == 0:
-                # zero effort costs exactly zero
-                return rate, self._dir, 0.0
+        rate = self.rate_at(t)
+        if rate == 0:
+            # zero effort costs exactly zero
+            return rate, self._dir, 0.0
         return rate, self._dir, np.asarray(g_cost(X), dtype=float) * rate
 
 
@@ -410,7 +382,7 @@ def _seed_groups(jobs):
 
 
 def _simulate_pool(params, jobs):
-    """Advance every path of every job to exit or horizon in one slot pool.
+    """Advance every path of every job to exit or horizon in one pool.
 
     `jobs` lists `(control, x0, n_paths, base_seed)`; path i of a job is
     seeded `base_seed + i`.  Returns one dict per job, in path order: the
@@ -420,31 +392,23 @@ def _simulate_pool(params, jobs):
 
     The paths that draw one seed form a group, whatever their jobs; a
     `verify` with one base seed makes path i of every entry one group.
-    The pool has about `_NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d)` slots.
-    A slot holds one group: its generator and its row of standard normals.
-    The members enter together at one pool step, and each keeps its own
-    row of state: step counter k (its clock is k dt), position, cost and
-    largest rate.  Once the last member has exited or reached the horizon,
-    the slot takes the next queued seed, so the pool steps until the last
-    path of all jobs is done.  The rows are kept in one block per control
-    and in slot order within a block, so each step calls a control's `act`
-    once on a slice, with t the clocks of that block, and a jump finds its
-    group's rows by bisection.  The paths that enter at one step are merged
-    into their blocks, and the exited rows dropped, in one copy of the
-    rows.  With one block `act` answers for every row; the answers of
-    several blocks are written into the step's arrays.  The step charges
-    the running cost h plus the returned effort, and pays each impulse of
-    `control.pushes` along its segment.
+    Every path starts at pool step 0, so step `it` is every live path's
+    clock, `it dt`.  Each path keeps its own row of state: position, cost
+    and largest rate.  The rows are kept in one block per control and in
+    group order within a block, so each step calls a control's `act` once
+    on a slice, and a jump finds its group's rows by bisection.  With one
+    block `act` answers for every row; the answers of several blocks are
+    written into the step's arrays.  The step charges the running cost h
+    plus the returned effort, and pays each impulse of `control.pushes`
+    along its segment.  Exited rows are dropped with one copy of the rows
+    that stay.
 
-    A group's generator is made when the group enters a slot and dropped
-    when it leaves.  It yields the group's jumps first and then its
-    increments, which every member reads, so each path sees the stream of
-    its own seed and no path's result depends on the others in the pool.
-    All live rows read the same column of their slots' normals at each
-    pool step: the rows are refilled together, `_NORMALS_BUDGET // (slots
-    * d)` steps at a time (at least `_MIN_CHUNK_STEPS`), when that column
-    wraps to 0, and a group that enters mid-row draws only the columns
-    left.
+    Each group's generator is made before the first step.  It yields the
+    group's jumps first and then its increments, which every member reads,
+    so each path sees the stream of its own seed and no path's result
+    depends on the others in the pool.  The groups with live rows refill
+    their rows of normals together, `_NORMALS_BUDGET // (groups * d)` steps
+    at a time (at least one).
     """
     d = params.domain.dim
     dt = params.dt
@@ -473,13 +437,45 @@ def _simulate_pool(params, jobs):
     if not jobs:
         return []
 
-    job_ctrl = np.array(job_ctrl)
     by_seed, starts, group_seed = _seed_groups(jobs)
     offsets = [0, *accumulate(job[2] for job in jobs)]
     n_total = offsets[-1]
+    n_groups = group_seed.size
 
-    def job_of(paths):
-        return np.searchsorted(offsets, paths, side="right") - 1
+    # each path's group, job and control, in seed order
+    group = np.repeat(np.arange(n_groups), np.diff(starts))
+    job = np.searchsorted(offsets, by_seed, side="right") - 1
+    ctrl = np.array(job_ctrl)[job]
+
+    # each group's generator and jumps; due maps a step to (group, size)
+    rngs = []
+    due = {}
+    for g, seed in enumerate(group_seed.tolist()):
+        rng = np.random.default_rng(seed)
+        rngs.append(rng)
+        jumps = () if params.levy is None else sample_jumps(
+            params.levy, params.jump_truncation, params.t_max, rng)
+        if jumps and impulses:
+            cs = set(ctrl[starts[g]:starts[g + 1]].tolist())
+            pushed = {t_p for c, t_p, _, _ in impulses if c in cs}
+            for t_j, _ in jumps:
+                if t_j in pushed:
+                    raise PushOutsideAdmissible(
+                        f"push requested at jump time t={t_j}")
+        for t_j, z in jumps:
+            # a jump in (k dt, (k+1) dt] lands at the end of step k
+            step = max(min(int(np.ceil(t_j / dt)) - 1, n_steps - 1), 0)
+            due.setdefault(step, []).append((g, z))
+
+    # live rows in control blocks (`bounds`), by group within a block:
+    # group, path, state, discounted cost and largest rate
+    order = np.lexsort((group, ctrl))
+    group, path, job, ctrl = (arr[order] for arr in
+                              (group, by_seed, job, ctrl))
+    bounds = np.searchsorted(ctrl, np.arange(len(controls) + 1))
+    x = x0s[job]
+    cost = np.zeros(n_total)
+    rmax = np.zeros(n_total)
 
     # outputs of every path p
     cost_out = np.zeros(n_total)
@@ -490,111 +486,16 @@ def _simulate_pool(params, jobs):
 
     # the discount at each step, computed as exp(-q t) with t = k dt
     disc = np.array([np.exp(-q * (k * dt)) for k in range(n_steps)])
-    n_groups = group_seed.size
-    n_slots = min(n_groups, _NORMALS_BUDGET // (_MIN_CHUNK_STEPS * d))
-    chunk = min(max(_NORMALS_BUDGET // (n_slots * d), _MIN_CHUNK_STEPS),
-                n_steps)
-    normals = _mapped_empty((n_slots, chunk, d))
-    rngs = [None] * n_slots
-    held = np.full(n_slots, -1)     # the group in each slot, -1 if none
-    left = [0] * n_slots            # that group's live rows
-    due = {}                        # pool step -> (slot, group, jump size)
-    queued = 0                      # the next group to enter, in seed order
+    chunk = min(max(_NORMALS_BUDGET // (n_groups * d), 1), n_steps)
+    normals = _mapped_empty((n_groups, chunk, d))
 
-    # live rows in control blocks (`bounds`): slot, path, step counter,
-    # state, discounted cost and largest rate
-    bounds = np.zeros(len(controls) + 1, dtype=int)
-    slot = np.empty(0, dtype=int)
-    path = np.empty(0, dtype=int)
-    k = np.empty(0, dtype=int)
-    x = np.empty((0, d))
-    cost = np.empty(0)
-    rmax = np.empty(0)
-
-    def enter(s, g, it):
-        """Start group g in slot s at pool step it."""
-        rng = np.random.default_rng(int(group_seed[g]))
-        jumps = () if params.levy is None else sample_jumps(
-            params.levy, params.jump_truncation, params.t_max, rng)
-        if jumps and impulses:
-            cs = set(job_ctrl[job_of(by_seed[starts[g]:starts[g + 1]])])
-            pushed = {t_p for c, t_p, _, _ in impulses if c in cs}
-            for t_j, _ in jumps:
-                if t_j in pushed:
-                    raise PushOutsideAdmissible(
-                        f"push requested at jump time t={t_j}")
-        for t_j, z in jumps:
-            # a jump in (k dt, (k+1) dt] lands at the end of step k
-            step = it + max(min(int(np.ceil(t_j / dt)) - 1, n_steps - 1), 0)
-            due.setdefault(step, []).append((s, g, z))
-        # normals for the pool steps up to the next refill of all slots
-        if it % chunk:
-            rng.standard_normal(out=normals[s, it % chunk:])
-        rngs[s], held[s] = rng, g
-        left[s] = int(starts[g + 1] - starts[g])
-
-    def restock(free, vacated, it):
-        """Drop the `free` rows, hand the `vacated` slots to the next
-        queued seeds at pool step it, and merge the rows of their paths
-        into their controls' blocks, in slot order."""
-        nonlocal queued, bounds, slot, path, k, x, cost, rmax
-        keep = np.ones(k.size, dtype=bool)
-        keep[free] = False
-        # take, not a mask: it copies the rows of x several times faster
-        kept = np.flatnonzero(keep)
-        bounds = bounds - np.searchsorted(free, bounds)
-        # the next queued groups, g0 to queued, go to the slots in turn
-        g0 = queued
-        queued = min(g0 + len(vacated), n_groups)
-        if queued == g0:
-            slot, path, k, x, cost, rmax = (arr.take(kept, axis=0) for arr in
-                                            (slot, path, k, x, cost, rmax))
-        else:
-            # their paths are one run of by_seed; order them by control,
-            # and by slot within a control, so that a jump finds its rows
-            # by bisection (a scan of all rows per jump costs more)
-            mem = by_seed[starts[g0]:starts[queued]]
-            mem_slot = np.repeat(vacated[:queued - g0],
-                                 np.diff(starts[g0:queued + 1]))
-            mem_job = job_of(mem)
-            order = np.lexsort((mem_slot, job_ctrl[mem_job]))
-            mem, mem_slot, mem_job = mem[order], mem_slot[order], \
-                mem_job[order]
-            by_ctrl = np.searchsorted(job_ctrl[mem_job],
-                                      np.arange(bounds.size))
-            # where each member lands among its block's kept rows
-            kept_slot = slot.take(kept)
-            at = np.concatenate([
-                np.searchsorted(kept_slot[bounds[c]:bounds[c + 1]],
-                                mem_slot[by_ctrl[c]:by_ctrl[c + 1]])
-                + bounds[c] for c in range(len(controls))])
-            at += np.arange(mem.size)
-            # the kept rows and the members in the merged order, one copy
-            kept_at = np.ones(kept.size + mem.size, dtype=bool)
-            kept_at[at] = False
-            new = (mem_slot, mem, 0, x0s[mem_job], 0.0, 0.0)
-            rows = []
-            for arr, add in zip((slot, path, k, x, cost, rmax), new):
-                out = np.empty((kept_at.size,) + arr.shape[1:], arr.dtype)
-                out[kept_at] = arr.take(kept, axis=0)
-                out[at] = add
-                rows.append(out)
-            slot, path, k, x, cost, rmax = rows
-            bounds = bounds + by_ctrl
-        for g, s in enumerate(vacated, g0):
-            rngs[s], held[s] = None, -1
-            if g < queued:
-                enter(s, g, it)
-
-    restock(np.empty(0, dtype=int), range(n_slots), 0)
-    it = 0
-    while k.size:
+    for it in range(n_steps):
         col = it % chunk
         if col == 0:
-            for s, rng in enumerate(rngs):
-                if rng is not None:
-                    rng.standard_normal(out=normals[s])
-        t = k * dt
+            # only the groups with live rows draw
+            for g in np.unique(group).tolist():
+                rngs[g].standard_normal(out=normals[g])
+        t = it * dt
 
         # running cost plus control effort at the left endpoint, one `act`
         # call on each control's block; the answers of several blocks are
@@ -604,15 +505,15 @@ def _simulate_pool(params, jobs):
         if len(blocks) == 1:
             rate, n_dir, effort = blocks[0][0].act(x, t, params.g_cost)
         else:
-            rate = np.empty(k.size)
-            n_dir = np.empty((k.size, d))
-            effort = np.empty(k.size)
+            rate = np.empty(path.size)
+            n_dir = np.empty((path.size, d))
+            effort = np.empty(path.size)
             for control, a, b in blocks:
                 rate[a:b], n_dir[a:b], effort[a:b] = control.act(
-                    x[a:b], t[a:b], params.g_cost)
+                    x[a:b], t, params.g_cost)
         np.maximum(rmax, rate, out=rmax)
         run = np.asarray(params.h_cost(x), dtype=float) + effort
-        run *= disc.take(k)
+        run *= disc[it]
         run *= dt
         cost += run
 
@@ -623,57 +524,50 @@ def _simulate_pool(params, jobs):
         push += params.drift(x)
         push *= dt
         sig = np.asarray(params.sigma(x), dtype=float)
-        noise = np.einsum("nij,nj->ni", sig, normals[slot, col])
+        noise = np.einsum("nij,nj->ni", sig, normals[group, col])
         noise *= sqrt_dt
         x -= push
         x += noise
 
-        # jumps scheduled in (t, t+dt], applied at step end as own events,
-        # for the groups still in their slots
-        for s, g, z in due.pop(it, ()):
-            if held[s] == g:
-                for a, b in zip(bounds[:-1], bounds[1:]):
-                    lo, hi = a + np.searchsorted(slot[a:b], (s, s + 1))
-                    x[lo:hi] += z
+        # jumps scheduled in (t, t+dt], applied at step end as own events
+        for g, z in due.pop(it, ()):
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                lo, hi = a + np.searchsorted(group[a:b], (g, g + 1))
+                x[lo:hi] += z
 
         # impulses scheduled in this step (never at a jump time)
         for c, t_push, n_push, dz in impulses:
             a, b = bounds[c], bounds[c + 1]
-            hit = a + np.flatnonzero((t[a:b] < t_push)
-                                     & (t_push <= (k[a:b] + 1) * dt))
-            if not hit.size:
+            if b == a or not t < t_push <= (it + 1) * dt:
                 continue
-            xa = x[hit]
+            xa = x[a:b]
             seg = xa[:, None, :] \
                 - _GL01_NODES[None, :, None] * (dz * n_push)[None, None, :]
             g_seg = np.asarray(
                 params.g_cost(seg.reshape(-1, d)), dtype=float
             ).reshape(xa.shape[0], -1)
             line = g_seg @ _GL01_WEIGHTS
-            cost[hit] += np.exp(-q * t_push) * dz * line
-            x[hit] = xa - dz * n_push[None, :]
+            cost[a:b] += np.exp(-q * t_push) * dz * line
+            xa -= dz * n_push[None, :]
 
         inside = params.domain.contains_batch(x)
-        k += 1
-        it += 1
-        if it < n_steps and inside.all():
+        if it + 1 < n_steps and inside.all():
             continue
-        # a path reaches the horizon only after the pool's first n_steps
-        done = np.flatnonzero(~inside | (k == n_steps))
-        if not done.size:
-            continue
+        # every path still live after the last step reaches the horizon
+        done = np.flatnonzero(~inside | (it + 1 == n_steps))
         p = path[done]
         cost_out[p] = cost[done]
         final_out[p] = x.take(done, axis=0)
         rate_out[p] = rmax[done]
         exited_out[p] = ~inside[done]
-        steps_out[p] = k[done]
-        vacated = []
-        for s in slot[done].tolist():
-            left[s] -= 1
-            if not left[s]:
-                vacated.append(s)
-        restock(done, vacated, it)
+        steps_out[p] = it + 1
+        # take, not a mask: it copies the rows of x several times faster
+        kept = np.flatnonzero(inside)
+        bounds = bounds - np.searchsorted(done, bounds)
+        group, path, x, cost, rmax = (arr.take(kept, axis=0) for arr in
+                                      (group, path, x, cost, rmax))
+        if not path.size:
+            break
 
     return [{
         "cost": cost_out[lo:hi].copy(),

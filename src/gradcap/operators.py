@@ -62,14 +62,18 @@ class Coefficients:
         """Check the standing sign/ellipticity assumptions at grid nodes."""
         pts = grid.points()
         interior = grid.interior_points()
-        c_vals = self.c(interior)
-        if np.any(c_vals <= 0):
+        vals = {"a": self.a(interior), "b": self.b(interior),
+                "c": self.c(interior), "h": self.h(pts), "g": self.g(pts)}
+        for name, v in vals.items():
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite at every node")
+        if np.any(vals["c"] <= 0):
             raise ValueError("c must be > 0 at every interior node")
-        if np.any(self.h(pts) < 0):
+        if np.any(vals["h"] < 0):
             raise ValueError("h must be >= 0 on the grid")
-        if np.any(self.g(pts) < 0):
+        if np.any(vals["g"] < 0):
             raise ValueError("g must be >= 0 on the grid")
-        a = self.a(interior)
+        a = vals["a"]
         # Sylvester's criterion for d <= 2: the leading minors a11 and det a
         det = a[:, 0, 0] if grid.dim == 1 \
             else a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]

@@ -291,6 +291,35 @@ def test_cli_unsimulable_problem_names_its_field_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("c", True, "coefficients.c: expected a finite number"),
+    ("g", float("nan"), "coefficients.g: expected a finite number"),
+    ("h", float("inf"), "coefficients.h: expected a finite number"),
+    ("b", [float("inf")], "coefficients.b[0]: expected a finite number"),
+    ("a", [[True]], "coefficients.a[0][0]: expected a finite number"),
+    ("a", [["0.1"]], "coefficients.a[0][0]: expected a number"),
+    ("g", 10**400, "coefficients.g: expected a finite number"),
+    ("h", "x + True", "coefficients.h: only numeric constants"),
+    ("h", "log(x)", "coefficients: h must be finite"),
+])
+def test_cli_bool_or_non_finite_coefficient_exit_2(tmp_path, capsys, key,
+                                                   value, field):
+    # JSON's true, NaN and Infinity are not coefficients, nor is a string
+    # matrix entry, an integer past the float range or an expression that
+    # is not finite at some node (log(x) for x <= 0)
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
+    cfg["coefficients"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "u.csv"
+    with np.errstate(all="ignore"):
+        code = main(["solve-hjb", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_2d_ball(tmp_path):
     # c is constant and s is 1, so the 2D ball's process can be simulated
     from gradcap.cli import main

@@ -391,9 +391,8 @@ def test_estimate_does_not_depend_on_batching(monkeypatch, make, q, control,
         return estimate(params, ctrl, np.array(x0), 50, 17)
 
     full = run()
-    # 50 paths share a pool of 16 (1D) or 8 (2D) slots, whose normals are
-    # refilled every 256 steps; by default each path has a slot of its own
-    # and one fill covers the horizon
+    # the normals of 50 groups are refilled every 81 (1D) or 40 (2D)
+    # steps; by default one fill covers the horizon
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     split = run()
     assert full.max_rate_observed > 0
@@ -417,7 +416,7 @@ def _four_controls_2d():
 
 def test_pooled_jobs_equal_separate_estimates(monkeypatch):
     # four kinds of control at two start points, with compound-Poisson
-    # jumps; the pool of 8 slots refills many times over for 96 paths
+    # jumps; the normals of 96 groups are refilled every 21 steps
     prob = make_control_problem_2d()
     params = ctl.sde_from_problem(prob, t_max=1.5)
     controls, x0s = _four_controls_2d()
@@ -438,8 +437,8 @@ def test_pooled_jobs_equal_separate_estimates(monkeypatch):
 def test_shared_seed_jobs_equal_separate_estimates(monkeypatch):
     # four kinds of control at two start points, all from one base seed as
     # `verify` seeds them: path i of every job draws seed 40 + i, so each
-    # seed is a group of 8 paths; 24 groups re-enter a pool of 8 slots,
-    # with compound-Poisson jumps
+    # seed is a group of 8 paths; the normals of 24 groups are refilled
+    # every 85 steps, with compound-Poisson jumps
     prob = make_control_problem_2d()
     params = ctl.sde_from_problem(prob, t_max=1.5)
     controls, x0s = _four_controls_2d()
@@ -454,10 +453,11 @@ def test_shared_seed_jobs_equal_separate_estimates(monkeypatch):
             == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
 
 
-def test_groups_entering_at_one_step_merge_into_their_blocks(monkeypatch):
-    # with no noise every path from x0 = 0.9 exits at one step; then seeds
-    # 8-11 leave block 0 and seeds 0-3 block 1 together, and the eight
-    # groups queued behind them enter block 0 around the rows of seeds 4-7
+def test_rows_leaving_two_blocks_at_one_step(monkeypatch):
+    # with no noise every path from x0 = 0.9 exits at one step: seeds 8-11
+    # leave block 0 from between the rows of seeds 4-7 and 16-23, and
+    # seeds 0-3 leave block 1 ahead of seeds 12-15; normals are refilled
+    # every 170 steps
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
                       drift=lambda X: -np.ones_like(X), t_max=2.5)
     # two distinct controls, so two blocks
@@ -498,6 +498,28 @@ def test_singular_verify_makes_one_generator_per_seed(monkeypatch):
     assert sorted(seeds) == list(range(11, 41))
 
 
+def test_every_path_runs_on_the_pool_clock(monkeypatch):
+    # 40 paths that never exit, with normals refilled every 102 steps: the
+    # pool takes one step per clock value, not one horizon per refill
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
+    par = flat_params(t_max=1.0)
+    rows = []
+    par.h_cost = lambda X: rows.append(X.shape[0]) or np.ones(X.shape[0])
+    out, = ctl._simulate_pool(par, [(null(), np.array([0.0]), 40, 3)])
+    assert sorted(seeds) == list(range(3, 43))
+    assert len(rows) <= int(np.ceil(par.t_max / par.dt)) == 1000
+    assert set(rows) == {40} and not out["exited"].any()
+    assert np.all(out["steps"] == 1000)
+
+
 def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
     made = []
 
@@ -511,8 +533,8 @@ def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
 
     mapped_empty = ctl._mapped_empty
     monkeypatch.setattr(ctl, "_mapped_empty", recording)
-    # a pool of 16 slots, refilled by the 40 paths of one estimate, by
-    # the 60 of two jobs, and one recorded path: one mapping per pool
+    # short refills for the 40 paths of one estimate, the 60 of two jobs
+    # and one recorded path: one mapping per pool
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     par = flat_params(t_max=1.0)
     estimate(par, null(), np.array([0.0]), 40, 3)
@@ -635,21 +657,18 @@ def test_time_varying_singular_rate():
     assert abs(est.mean - oracle) <= 2 * par.dt * (0.3 + 1.0)
 
 
-def test_callable_rate_is_called_once_per_clock(monkeypatch):
-    # 4 slots serve 40 paths that exit at scattered steps, so the live
-    # paths carry many distinct clocks at once
-    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 4 * ctl._MIN_CHUNK_STEPS)
+def test_callable_rate_is_called_once_per_clock():
+    # 40 paths that exit at scattered steps share one clock per pool step,
+    # and the rate is called once at each, with the clock k dt
     par = flat_params(sigma=lambda X: np.full(
         (np.atleast_2d(X).shape[0], 1, 1), 1.0),
         domain=Box(lo=(-0.2,), hi=(0.2,)), t_max=1.0)
     calls = []
     spec = ctl.SingularControlSpec(
         n=(1.0,), rate=lambda t: calls.append(t) or (0.3 if t < 0.02 else 0.0))
-    est = estimate(par, spec, np.array([0.0]), 40, 0)
-    assert len(calls) == len(set(calls)) > 0
-    n_calls = len(calls)
-    again = estimate(par, spec, np.array([0.0]), 40, 0)
-    assert again.mean == est.mean and len(calls) == n_calls
+    out, = ctl._simulate_pool(par, [(spec, np.array([0.0]), 40, 0)])
+    assert len(set(out["steps"].tolist())) > 1
+    assert calls == [k * par.dt for k in range(int(out["steps"].max()))]
 
 
 def test_singular_spec_validates_pushes():
@@ -668,9 +687,9 @@ def test_singular_spec_validates_rates_and_directions():
                dict(pushes=((0.5, (0.0,), 0.1),))):
         with pytest.raises(ValueError):
             ctl.SingularControlSpec(**kw)
-    # a callable rate is checked at each clock it is first evaluated at
+    # a callable rate is checked at each clock it is evaluated at
     spec = ctl.SingularControlSpec(rate=lambda t: 0.2 - t)
-    assert np.array_equal(spec.rate_at([0.0, 0.1]), [0.2, 0.1])
+    assert (spec.rate_at(0.0), spec.rate_at(0.1)) == (0.2, 0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         spec.rate_at(0.3)
     par = flat_params(t_max=1.0)

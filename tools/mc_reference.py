@@ -19,10 +19,11 @@ The library cases print the mean, standard error and largest push rate in
 hex of 2D estimates: penalized verification with compound-Poisson jumps in
 the unit ball and in a box, an impulse along (1, 1), a callable rate, a
 pooled call of four controls at two start points, and the same call with
-one base seed for all eight jobs, as `verify` seeds its entries; and the
+one base seed for all eight jobs, as `verify` seeds its entries; the
 exit flag, exit time and cost of one `simulate_path` under the impulse
-control.
-Every control direction is a unit vector.  The whole run takes about 20 s
+control; and a 1D singular `verify` of three controls x 9000 paths, more
+seed groups than a normals buffer of 2^21 holds at full width.
+Every control direction is a unit vector.  The whole run takes about 30 s
 on two cores.
 """
 
@@ -181,6 +182,23 @@ def library_cases():
     shared = [(c, x0, n, 40) for c, x0, n, _ in jobs]
     for i, est in enumerate(ctl.estimate_jobs(params, shared)):
         yield f"2d shared-seed pooled job {i} {_hex(est)}"
+
+    # 9000 seed groups, each of three paths, on example_1d_control
+    from gradcap.config import load_config
+    from gradcap.nidd import solve_nidd
+
+    prob = load_config(CONFIGS / "example_1d_control.json").problem
+    fld = solve_nidd(prob, 0.1).solution
+    singular = [ctl.SingularControlSpec(n=(1.0,), rate=0.0),
+                ctl.SingularControlSpec(n=(1.0,), rate=0.25),
+                ctl.SingularControlSpec(n=(-1.0,), rate=0.25)]
+    rep = ctl.verify_value_equality(
+        prob, fld, "singular", [np.array([0.0])], 9000, 42,
+        params=ctl.sde_from_problem(prob, t_max=1.0), controls=singular)
+    for i, e in enumerate(rep.entries):
+        yield (f"1d singular verify 9000 paths control {i} "
+               f"mean={e['mc_mean'].hex()} stderr={e['stderr'].hex()} "
+               f"margin={e['margin'].hex()} pass={e['pass']}")
 
 
 def main(argv=None):
