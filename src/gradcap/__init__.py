@@ -4,7 +4,7 @@ verification of the computed value function."""
 from .config import ProblemSpec, build_spec, emit, load_config
 from .control import (ConstantRate, CostEstimate, PenalizedFeedback,
                       SdeParams, SingularControlSpec, estimate_jobs,
-                      sde_from_problem, simulate_path, verify_value_equality)
+                      sde_from_problem, verify_value_equality)
 from .geometry import Ball, Box, Grid, SolutionField, build_grid
 from .hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, HjbReport, hjb_residual,
                   solve_hjb)

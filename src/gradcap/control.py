@@ -305,16 +305,6 @@ class CostEstimate:
 
 
 @dataclass
-class Path:
-    """How one path stopped: at its first state outside the domain
-    (`exited`) or at the horizon, its clock then, and its discounted cost."""
-
-    exited: bool
-    exit_time: float
-    cost: float
-
-
-@dataclass
 class SingularControlSpec:
     """Open-loop test control: continuous rate plus optional pushes.
 
@@ -576,16 +566,6 @@ def _simulate_pool(params, jobs):
         "steps": steps_out[lo:hi].copy(),
         "max_rate": float(np.max(rate_out[lo:hi])),
     } for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-
-def simulate_path(params, control, x0, seed):
-    """One path under any control, seeded `seed`, as a `Path`."""
-    out, = _simulate_pool(params, [(control, x0, 1, seed)])
-    exited = bool(out["exited"][0])
-    return Path(exited=exited,
-                exit_time=float(out["steps"][0] * params.dt if exited
-                                else params.t_max),
-                cost=float(out["cost"][0]))
 
 
 def estimate_jobs(params, jobs):

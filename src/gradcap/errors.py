@@ -32,9 +32,8 @@ class SingularSystem(GradcapError):
 class MaxIterationsExceeded(GradcapError):
     """Nonlinear iteration stopped unconverged; best iterate attached.
 
-    `reason` says why: "max_iter" (iteration cap), "line_search_failed"
-    (no step passed the line search at any Levenberg shift) or
-    "slow_newton" (merit crept down for too many steps).
+    `reason` says why: "max_iter" (iteration cap) or "line_search_failed"
+    (no step passed the line search at any Levenberg shift).
     """
 
     def __init__(self, message, report=None, reason="max_iter"):

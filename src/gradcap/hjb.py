@@ -3,7 +3,10 @@
 Solves the penalized problem along a decreasing eps schedule with warm
 starts, enforcing that successive solutions do not increase beyond a
 discretization-sized slack, and reports complementarity residuals of the
-limiting max-form equation on the final field.
+limiting max-form equation on the final field.  The continuation stops
+early after the first stage whose field leaves the penalty inactive at
+every node: psi_eps(r) = 0 for r <= 0, so that field solves the penalized
+problem at every smaller eps as well.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ DEFAULT_EPS_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 # _MONO_TOL_FACTOR (1 + max u) + _MONO_GRID_SLACK h^2
 _MONO_TOL_FACTOR = 1e-6
 _MONO_GRID_SLACK = 10.0
-# continuation stops once both residuals change by less than this fraction
-_STAGNATION_RTOL = 0.02
 # geometric refinements of a failing eps step
 _MAX_SUBSTEPS = 4
 
@@ -114,16 +115,17 @@ def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
 
 
 def solve_hjb(problem, eps_schedule=None, opts=None):
-    """Warm-started continuation over a strictly decreasing eps schedule."""
+    """Warm-started continuation over a strictly decreasing eps schedule,
+    stopped after the first stage with the penalty inactive everywhere."""
     opts = opts or HjbOptions()
     arr = check_eps_schedule(eps_schedule if eps_schedule is not None
                              else DEFAULT_EPS_SCHEDULE)
 
     h2 = problem.grid.h ** 2
+    g_sq = problem.g_interior() ** 2
     trace = []
     reports = []
     prev = None
-    prev_res = None
     total_iter = 0
 
     for k, eps in enumerate(arr):
@@ -149,30 +151,11 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
         reports.append(rep)
         prev = rep.solution
 
-        res = hjb_residual(problem, prev)
-        # a residual plateau only marks the discretization floor once the
-        # penalty has left its blend zone at the worst node (arg >= 2 eps)
-        # or never activates at all; in between, smaller eps still helps
         grad_sq, _ = _gradient_sq(problem, prev.interior_vector())
-        arg_max = float(np.max(grad_sq - problem.g_interior() ** 2,
-                               initial=-1.0))
-        armed = arg_max <= 0.0 or arg_max >= 2.0 * eps
-        if prev_res is not None and k >= 1 and armed:
-            # residuals at the solver floor jitter multiplicatively, so the
-            # relative change is measured against an absolute floor too
-            h_scale = float(np.max(np.abs(problem.h_interior()), initial=0.0))
-            floor = 1e-8 * (1.0 + h_scale)
-            rel = abs(prev_res["complementarity"] - res["complementarity"]) \
-                / max(prev_res["complementarity"], res["complementarity"],
-                      floor)
-            rel_g = abs(prev_res["grad_pos"] - res["grad_pos"]) \
-                / max(prev_res["grad_pos"], res["grad_pos"], floor)
-            if rel < _STAGNATION_RTOL and rel_g < _STAGNATION_RTOL:
-                prev_res = res
-                break
-        prev_res = res
+        if np.all(grad_sq <= g_sq):
+            break
 
-    # res is the residual of prev, the final field
+    res = hjb_residual(problem, prev)
     return HjbReport(
         solution=prev,
         eps_trace=trace,

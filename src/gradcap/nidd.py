@@ -1,7 +1,8 @@
 """Penalized nonlinear Dirichlet solver.
 
-The penalized problem  gamma u + psi_eps(|D u|^2 - g^2) = h  is solved by a
-Levenberg-damped Newton iteration with a non-monotone line search.  Every
+The penalized problem  gamma u + psi_eps(|D u|^2 - g^2) = h  is solved by
+Newton's method with a non-monotone backtracking line search; a step that
+fails the search is retried along a fixed ladder of Levenberg shifts.  Every
 linear system the solver meets, the linear Dirichlet problem and each Newton
 step alike, splits as (P - J) x = b: J is sparse and P has a cheap LU.
 GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b solves it;
@@ -43,6 +44,9 @@ _GMRES_RESTART = 60
 # GMRES iteration to the base solve's (16 or fewer on the shipped configs),
 # and about half the restart window leaves room for both
 _LOW_RANK_ROWS = 32
+# Levenberg shifts a Newton step tries in turn until one passes the line
+# search; the next step starts one rung below the one that passed
+_SHIFTS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
 
 
 @dataclass
@@ -135,8 +139,8 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int
 
 
-def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
-    """Solve (jacobian + lam shift) delta = -res_vec at the iterate w.
+def _newton_direction(problem, pf, g_int, w, res_vec, shift=0.0):
+    """Solve (jacobian + Levenberg shift) delta = -res_vec at the iterate w.
 
     The Jacobian is gamma + sum_k diag(2 psi' D_k w) G_k, and the gradient
     terms vanish off the penalty's active set.  With no shift and at most
@@ -146,7 +150,7 @@ def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
     low-rank solve whose GMRES misses its test falls back to the factored
     split below; with no active row the two splits are the same.
     Otherwise P = local + the gradient terms is factorized, and the split
-    is P - J.  The Levenberg shift adds lam (|jacobian diagonal| + 1) to P.
+    is P - J.  The shift adds shift (|jacobian diagonal| + 1) to P.
     Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
@@ -156,7 +160,7 @@ def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
     terms = [sp.diags(slope * grads[:, k]) @ G
              for k, G in enumerate(problem.grad_ops())]
     active = np.count_nonzero(slope)
-    if lam == 0.0 and active <= _LOW_RANK_ROWS:
+    if shift == 0.0 and active <= _LOW_RANK_ROWS:
         gather = J - sum(terms) if active else J
         delta, converged = _solve_split(mat.local_solver(), gather, -res_vec)
         if converged or not active:
@@ -164,8 +168,8 @@ def _newton_direction(problem, pf, g_int, w, res_vec, lam=0.0):
     P = mat.local_matrix()
     for term in terms:
         P = P + term
-    if lam > 0.0:
-        P = P + lam * sp.diags(np.abs(P.diagonal() - J.diagonal()) + 1.0)
+    if shift > 0.0:
+        P = P + shift * sp.diags(np.abs(P.diagonal() - J.diagonal()) + 1.0)
     return _solve_split(spla.splu(P.tocsc()), J, -res_vec)[0]
 
 
@@ -173,18 +177,21 @@ _STOP_MESSAGES = {
     "max_iter": "no convergence in {n} iterations",
     "line_search_failed": "line search found no acceptable step at "
                           "iteration {n}",
-    "slow_newton": "Newton progress stalled at iteration {n}",
 }
 
 
 def solve_nidd(problem, eps, opts=None, initial=None):
     """Solve the penalized problem at one eps; returns a NiddReport.
 
-    Levenberg-damped Newton with a non-monotone line search, started from
-    the SolutionField `initial` (a warm start) when given, else from zero.
-    The penalty curvature near the free-boundary rim makes a strictly
-    monotone search zigzag, so a step passes if it stays below the recent
-    merit window, and the best iterate seen is what the solver returns.
+    Newton's method from the SolutionField `initial` (a warm start) when
+    given, else from zero.  Each step climbs the ladder `_SHIFTS`, from
+    one rung below the rung the previous step passed, until the shifted
+    direction passes a backtracking line search; a singular split skips
+    its rung.  The penalty curvature near the free-boundary rim makes a
+    strictly monotone search zigzag, so a step passes if its merit stays
+    below the largest of the last six, and the best iterate seen is what
+    the solver returns.  MaxIterationsExceeded carries that iterate and
+    the reason: "max_iter" or "line_search_failed" (no rung passed).
     """
     opts = opts or SolverOptions()
     if not 0.0 < eps < 1.0:
@@ -211,8 +218,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
     res = float(np.max(np.abs(res_vec)))
     update = np.inf
     iterations = 0
-    slow_newton = 0
-    newton_lam = 0.0
+    rung = 0
     merit_window = []
     best_res = res
     best_u = u.copy()
@@ -225,44 +231,31 @@ def solve_nidd(problem, eps, opts=None, initial=None):
             break
         iterations += 1
 
-        merit = float(np.linalg.norm(res_vec))
-        merit_window.append(merit)
+        merit_window.append(float(np.linalg.norm(res_vec)))
         del merit_window[:-6]
         window_cap = max(merit_window)
-        accepted = False
-        for _ in range(8):
+        step = None
+        for rung in range(max(rung - 1, 0), len(_SHIFTS)):
             try:
                 delta = _newton_direction(problem, pf, g_int, u, res_vec,
-                                          newton_lam)
-            except RuntimeError:  # singular split: retry with a larger shift
-                delta = None
-            for alpha in (1.0, 0.5, 0.25, 0.125) if delta is not None else ():
+                                          _SHIFTS[rung])
+            except RuntimeError:  # singular split: try the next shift
+                continue
+            for alpha in (1.0, 0.5, 0.25, 0.125):
                 u_try = u + alpha * delta
-                res_try_vec = _residual_vec(problem, gamma, pf, u_try,
-                                            h_int, g_int)
-                merit_try = float(np.linalg.norm(res_try_vec))
-                if merit_try < window_cap or merit_try == 0.0:
-                    accepted = True
+                res_try = _residual_vec(problem, gamma, pf, u_try, h_int,
+                                        g_int)
+                merit = float(np.linalg.norm(res_try))
+                if merit < window_cap or merit == 0.0:
+                    step = u_try, res_try
                     break
-            if accepted:
+            if step is not None:
                 break
-            newton_lam = max(newton_lam * 10.0, 1e-4)
-            if newton_lam > 1e8:
-                break
-        if not accepted:
+        if step is None:
             stop = "line_search_failed"
             break
-        newton_lam = newton_lam / 5.0 if merit_try < merit \
-            else min(max(newton_lam, 1e-4) * 10.0, 1e8)
-        if newton_lam < 1e-10:
-            newton_lam = 0.0
-        # fail fast on creeping progress so continuation can sub-step
-        slow_newton = slow_newton + 1 if merit_try > 0.99 * merit else 0
-        if slow_newton > 40:
-            stop = "slow_newton"
-            break
-        update = float(np.max(np.abs(u_try - u)))
-        u, res_vec = u_try, res_try_vec
+        update = float(np.max(np.abs(step[0] - u)))
+        u, res_vec = step
         res = float(np.max(np.abs(res_vec)))
         if res < best_res:
             best_res = res
@@ -286,8 +279,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
     u_scale = 1.0 + abs(report.max_value)
     if not (update <= _TOL_UPDATE_FACTOR * u_scale and res <= tol_res):
         report.converged = False
-        head = _STOP_MESSAGES[stop].format(
-            n=iterations)
+        head = _STOP_MESSAGES[stop].format(n=iterations)
         raise MaxIterationsExceeded(
             f"{head} (residual {res:.3e}, update {update:.3e})",
             report=report, reason=stop)

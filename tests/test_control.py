@@ -45,30 +45,32 @@ def estimate(params, control, x0, n_paths, seed):
 def test_deterministic_drift_exit_time():
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
                       drift=lambda X: np.full_like(X, 0.5), t_max=5.0)
-    p = ctl.simulate_path(par, null(), np.array([0.2]), 1)
+    p = ctl._simulate_pool(par, [(null(), np.array([0.2]), 1, 1)])[0]
     # dX = -0.5 dt from 0.2 crosses -1 at t = 2.4
-    assert p.exited
-    assert abs(p.exit_time - 2.4) <= par.dt + 1e-12
+    assert p["exited"][0]
+    assert abs(p["steps"][0] * par.dt - 2.4) <= par.dt + 1e-12
 
 
 def test_constant_rate_shifts_crossing():
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)),
                       drift=lambda X: np.full_like(X, 0.5), t_max=5.0)
-    p = ctl.simulate_path(par, ctl.ConstantRate(n=(1.0,), rate=0.5, eps=0.5),
-                          np.array([0.2]), 1)
-    assert abs(p.exit_time - 1.2) <= par.dt + 1e-12
+    p = ctl._simulate_pool(par, [(ctl.ConstantRate(n=(1.0,), rate=0.5,
+                                                   eps=0.5),
+                                  np.array([0.2]), 1, 1)])[0]
+    assert p["exited"][0]
+    assert abs(p["steps"][0] * par.dt - 1.2) <= par.dt + 1e-12
 
 
 def test_path_reaching_the_horizon():
     # no drift and no noise: the path stays at x0 and pays h = 1 until
     # t_max, which is no multiple of dt, so it differs from the last k dt
     par = flat_params(t_max=1.9995)
-    p = ctl.simulate_path(par, null(), np.array([0.0]), 1)
-    assert not p.exited
-    assert p.exit_time == par.t_max
+    p = ctl._simulate_pool(par, [(null(), np.array([0.0]), 1, 1)])[0]
+    assert not p["exited"][0]
     n = int(np.ceil(par.t_max / par.dt))
+    assert p["steps"][0] == n
     oracle = par.dt * np.sum(np.exp(-par.q * par.dt * np.arange(n)))
-    assert p.cost == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert p["cost"][0] == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_discounted_integral_oracle():
@@ -146,7 +148,7 @@ def test_push_at_jump_time_rejected():
 def test_start_outside_domain():
     par = flat_params(domain=Box(lo=(-1,), hi=(1,)))
     with pytest.raises(StartOutsideDomain):
-        ctl.simulate_path(par, null(), np.array([1.5]), 0)
+        ctl._simulate_pool(par, [(null(), np.array([1.5]), 1, 0)])
 
 
 def test_seed_determinism():
@@ -534,13 +536,13 @@ def test_normals_buffer_is_unmapped_after_each_batch(monkeypatch):
     mapped_empty = ctl._mapped_empty
     monkeypatch.setattr(ctl, "_mapped_empty", recording)
     # short refills for the 40 paths of one estimate, the 60 of two jobs
-    # and one recorded path: one mapping per pool
+    # and one single-path pool: one mapping per pool
     monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**12)
     par = flat_params(t_max=1.0)
     estimate(par, null(), np.array([0.0]), 40, 3)
     ctl.estimate_jobs(par, [(null(), np.array([0.0]), 40, 3),
                             (null(), np.array([0.5]), 20, 9)])
-    ctl.simulate_path(par, null(), np.array([0.0]), 1)
+    ctl._simulate_pool(par, [(null(), np.array([0.0]), 1, 1)])
     assert len(made) == 3
     # every pool's mapping is gone once its pool returns
     assert all(ref() is None for ref in made)
@@ -708,9 +710,10 @@ def test_singular_directions_are_unit_vectors():
     # the corner at t = sqrt(2) / 0.3, moving at speed 0.3, not 0.3 sqrt(2)
     par = flat_params(domain=Box(lo=(-1, -1), hi=(1, 1)),
                       sigma=lambda X: np.zeros((X.shape[0], 2, 2)))
-    p = ctl.simulate_path(par, ctl.SingularControlSpec(n=(1, 1), rate=0.3),
-                          np.zeros(2), 0)
-    assert abs(p.exit_time - np.sqrt(2.0) / 0.3) <= par.dt + 1e-12
+    p = ctl._simulate_pool(par, [(ctl.SingularControlSpec(n=(1, 1), rate=0.3),
+                                  np.zeros(2), 1, 0)])[0]
+    assert p["exited"][0]
+    assert abs(p["steps"][0] * par.dt - np.sqrt(2.0) / 0.3) <= par.dt + 1e-12
     prob = make_control_problem_2d()
     params = ctl.sde_from_problem(prob, t_max=1.0)
     x0 = np.array([0.2, -0.1])

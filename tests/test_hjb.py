@@ -1,12 +1,13 @@
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import CONFIGS, make_problem_1d
-from gradcap.config import load_config
-from gradcap.errors import MonotonicityViolation
+from gradcap.config import build_spec, load_config
+from gradcap.errors import BoundViolation, MonotonicityViolation
 from gradcap.geometry import SolutionField
 from gradcap.hjb import (DEFAULT_EPS_SCHEDULE, HjbOptions, hjb_residual,
                          solve_hjb)
@@ -131,13 +132,28 @@ def test_schedule_validation():
             solve_hjb(prob, bad)
 
 
-def test_stagnation_stops_early():
-    # unconstrained: residuals sit at the floor immediately, so the tail of
-    # a long schedule below the stagnation floor is skipped
+def test_inactive_penalty_stops_after_one_stage():
+    # unconstrained: the first stage leaves the penalty inactive at every
+    # node, so that field solves every smaller eps and the rest of the
+    # schedule is skipped
     prob = make_problem_1d(h_grid=1 / 32, h=2.0, g=10.0)
     schedule = list(DEFAULT_EPS_SCHEDULE) + [4e-3, 1.6e-3, 6e-4, 2.5e-4]
     rep = solve_hjb(prob, schedule)
-    assert len(rep.eps_trace) < len(schedule)
+    assert len(rep.eps_trace) == 1
+    lin = solve_linear_dirichlet(prob.matrix(), prob.h_interior())
+    assert np.max(np.abs(rep.solution.values - lin.values)) <= 1e-12
+
+
+@pytest.mark.xfail(raises=BoundViolation, strict=True,
+                   reason="the central-difference penalty is not monotone: "
+                   "at h=1/32 the eps=2.5e-4 stage converges to min u "
+                   "-0.068")
+def test_tight_config_at_h_1_32_stays_in_the_sandwich():
+    raw = json.loads((CONFIGS / "example_1d_tight.json").read_text())
+    raw["h"] = 1 / 32
+    spec = build_spec(raw)
+    solve_hjb(spec.problem, spec.eps_schedule,
+              HjbOptions(nidd=spec.solver_options))
 
 
 def test_active_set_tolerance_default():

@@ -12,10 +12,10 @@ from gradcap.errors import (MaxIterationsExceeded, NotApplicable,
 from gradcap.geometry import Box, SolutionField, build_grid
 from gradcap.hjb import solve_hjb
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
-from gradcap.nidd import (_LOW_RANK_ROWS, _TOL_UPDATE_FACTOR, SolverOptions,
-                          _check_linear_residual, _newton_direction,
-                          comparison_check, solve_linear_dirichlet,
-                          solve_nidd)
+from gradcap.nidd import (_LOW_RANK_ROWS, _SHIFTS, _TOL_UPDATE_FACTOR,
+                          SolverOptions, _check_linear_residual,
+                          _newton_direction, comparison_check,
+                          solve_linear_dirichlet, solve_nidd)
 from gradcap.operators import Coefficients, interior_gradient
 from gradcap.penalty import PenaltyFn
 from gradcap.problem import Problem
@@ -266,6 +266,32 @@ def test_max_iterations_exceeded_carries_best_iterate():
     assert rep.solution.values.shape == prob.grid.shape
     assert err.value.reason == "max_iter"
     assert "in 2 iterations" in str(err.value)
+
+
+def test_shift_ladder_starts_one_rung_below_the_last_passing_rung(
+        monkeypatch):
+    import gradcap.nidd as nidd
+    steps = []
+
+    def recording(problem, pf, g_int, w, res_vec, shift=0.0):
+        # the tries of one Newton step share its iterate
+        if not steps or not np.array_equal(steps[-1][0], w):
+            steps.append((w.copy(), []))
+        steps[-1][1].append(_SHIFTS.index(shift))
+        return _newton_direction(problem, pf, g_int, w, res_vec, shift)
+
+    monkeypatch.setattr(nidd, "_newton_direction", recording)
+    prob = make_problem_1d(h_grid=1 / 64, h=10.0, g=0.5)
+    rep = solve_nidd(prob, 0.02)
+    rungs = [r for _, r in steps]
+    assert len(rungs) == rep.iterations
+    # a cold solve that needs the ladder: some step climbs past rung 0
+    assert max(len(r) for r in rungs) > 1
+    passed = 0
+    for tried in rungs:
+        # each step climbs one rung at a time and passes at its last try
+        assert tried == list(range(max(passed - 1, 0), tried[-1] + 1))
+        passed = tried[-1]
 
 
 def test_comparison_zero_vs_linear():

@@ -11,7 +11,8 @@ with its config-hash stamp left out (the `# config_hash=` line of a CSV,
 the `config_hash` key of a JSON file), so a change to the config schema
 that moves only the stamps leaves the reference unchanged:
 the `solve-hjb` CSV and report of every shipped config; on
-`example_1d_control`, the `solve-nidd` report at eps 0.1, the `residual`
+`example_1d_control`, the `solve-nidd` report at eps 0.1 and at eps 0.01
+(a cold solve that climbs the Levenberg shift ladder), the `residual`
 JSON of that field, `simulate` (null, constant and penalized policies) and
 `verify` (penalized and singular modes) JSON; and the report of a
 `solve-nidd` run that does not converge (`example_1d_tight` at eps 1e-4).
@@ -20,9 +21,10 @@ hex of 2D estimates: penalized verification with compound-Poisson jumps in
 the unit ball and in a box, an impulse along (1, 1), a callable rate, a
 pooled call of four controls at two start points, and the same call with
 one base seed for all eight jobs, as `verify` seeds its entries; the
-exit flag, exit time and cost of one `simulate_path` under the impulse
-control; and a 1D singular `verify` of three controls x 9000 paths, more
-seed groups than a normals buffer of 2^21 holds at full width.
+exit flag, exit time (the horizon if the path did not exit) and cost of
+one path under the impulse control; and a 1D singular `verify` of three
+controls x 9000 paths, more seed groups than a normals buffer of 2^21
+holds at full width.
 Every control direction is a unit vector.  The whole run takes about 30 s
 on two cores.
 """
@@ -82,6 +84,10 @@ def cli_cases(out):
     code = main(["solve-nidd", "--config", cfg, "--eps", "0.1", "--out", field,
                  "--report", str(report)])
     yield f"solve-nidd control eps=0.1 exit={code} report={_sha(report)}"
+    cold = out / "u_eps_0.01.json"
+    code = main(["solve-nidd", "--config", cfg, "--eps", "0.01",
+                 "--out", str(out / "u_eps_0.01.csv"), "--report", str(cold)])
+    yield f"solve-nidd control eps=0.01 exit={code} report={_sha(cold)}"
     residual = out / "residual.json"
     code = main(["residual", "--config", cfg, "--field", field,
                  "--out", str(residual)])
@@ -160,10 +166,12 @@ def library_cases():
     for name, control in alone.items():
         est, = ctl.estimate_jobs(params, [(control, x0s[1], PATHS, 7)])
         yield f"2d {name} {_hex(est)}"
-    path = ctl.simulate_path(params, impulse, x0s[1], 7)
-    yield (f"2d impulse (1,1) path exited={path.exited} "
-           f"exit_time={float(path.exit_time).hex()} "
-           f"cost={float(path.cost).hex()}")
+    path, = ctl._simulate_pool(params, [(impulse, x0s[1], 1, 7)])
+    exited = bool(path["exited"][0])
+    exit_time = path["steps"][0] * params.dt if exited else params.t_max
+    yield (f"2d impulse (1,1) path exited={exited} "
+           f"exit_time={float(exit_time).hex()} "
+           f"cost={float(path['cost'][0]).hex()}")
 
     controls = [
         ctl.SingularControlSpec(n=(1.0, 0.0), rate=0.0),
