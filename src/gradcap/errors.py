@@ -32,8 +32,9 @@ class SingularSystem(GradcapError):
 class MaxIterationsExceeded(GradcapError):
     """Nonlinear iteration stopped unconverged; best iterate attached.
 
-    `reason` says why: "max_iter" (iteration cap) or "line_search_failed"
-    (no step passed the line search at any Levenberg shift).
+    `reason` says why: "max_iter" (iteration cap), "line_search_failed"
+    (no step length passed the line search) or "singular_split" (a Newton
+    matrix was exactly singular).
     """
 
     def __init__(self, message, report=None, reason="max_iter"):

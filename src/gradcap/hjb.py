@@ -1,12 +1,13 @@
 """eps-continuation driver for the gradient-constrained equation.
 
-Solves the penalized problem along a decreasing eps schedule with warm
-starts, enforcing that successive solutions do not increase beyond a
-discretization-sized slack, and reports complementarity residuals of the
-limiting max-form equation on the final field.  The continuation stops
-early after the first stage whose field leaves the penalty inactive at
-every node: psi_eps(r) = 0 for r <= 0, so that field solves the penalized
-problem at every smaller eps as well.
+Solves the penalized problem along a decreasing eps schedule, each stage
+warm-started from the report of the one before, so that a stage that fails
+is retried by solve_nidd through intermediate eps.  It enforces that
+successive solutions do not increase beyond a discretization-sized slack,
+and reports complementarity residuals of the limiting max-form equation on
+the final field.  The continuation stops early after the first stage whose
+field leaves the penalty inactive at every node: psi_eps(r) = 0 for r <= 0,
+so that field solves the penalized problem at every smaller eps as well.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GridMismatch, MaxIterationsExceeded,
-                     MonotonicityViolation)
+from .errors import GridMismatch, MonotonicityViolation
 from .nidd import SolverOptions, _gradient_sq, solve_nidd
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
@@ -25,8 +25,6 @@ DEFAULT_EPS_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 # _MONO_TOL_FACTOR (1 + max u) + _MONO_GRID_SLACK h^2
 _MONO_TOL_FACTOR = 1e-6
 _MONO_GRID_SLACK = 10.0
-# geometric refinements of a failing eps step
-_MAX_SUBSTEPS = 4
 
 
 def check_eps_schedule(schedule):
@@ -96,24 +94,6 @@ def hjb_residual(problem, fld):
     }
 
 
-def _solve_with_substeps(problem, eps, eps_prev, warm, opts, depth=0):
-    """Solve at eps from `warm`, retrying a failing continuation step
-    through intermediate eps; returns the report and the Newton iterations
-    of every solve that succeeded on the way."""
-    try:
-        rep = solve_nidd(problem, eps, opts.nidd, warm)
-        return rep, rep.iterations
-    except MaxIterationsExceeded:
-        if depth >= _MAX_SUBSTEPS or eps_prev is None:
-            raise
-    mid = float(np.sqrt(eps_prev * eps))
-    rep_mid, n_mid = _solve_with_substeps(problem, mid, eps_prev, warm, opts,
-                                          depth + 1)
-    rep, n_end = _solve_with_substeps(problem, eps, mid, rep_mid.solution,
-                                      opts, depth + 1)
-    return rep, n_mid + n_end
-
-
 def solve_hjb(problem, eps_schedule=None, opts=None):
     """Warm-started continuation over a strictly decreasing eps schedule,
     stopped after the first stage with the penalty inactive everywhere."""
@@ -125,18 +105,14 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
     g_sq = problem.g_interior() ** 2
     trace = []
     reports = []
-    prev = None
-    total_iter = 0
 
-    for k, eps in enumerate(arr):
-        eps_prev = float(arr[k - 1]) if k else None
-        rep, n_iter = _solve_with_substeps(problem, float(eps), eps_prev,
-                                           prev, opts)
-        total_iter += n_iter
+    for eps in arr:
+        prev = reports[-1] if reports else None
+        rep = solve_nidd(problem, float(eps), opts.nidd, prev)
         sup_update = 0.0
         mono = 0.0
         if prev is not None:
-            diff = rep.solution.values - prev.values
+            diff = rep.solution.values - prev.solution.values
             sup_update = float(np.max(np.abs(diff)))
             mono = float(np.max(diff))
             mono_tol = _MONO_TOL_FACTOR * (1.0 + rep.max_value) \
@@ -144,20 +120,20 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
             if mono > mono_tol:
                 raise MonotonicityViolation(
                     f"u^eps increased by {mono:.3e} (> {mono_tol:.3e}) "
-                    f"between eps={arr[k-1]:g} and eps={eps:g}; the schedule "
+                    f"between eps={prev.eps:g} and eps={eps:g}; the schedule "
                     "is too aggressive or the grid too coarse")
         trace.append({"eps": float(eps), "sup_update": sup_update,
                       "monotonicity_violation": mono})
         reports.append(rep)
-        prev = rep.solution
 
-        grad_sq, _ = _gradient_sq(problem, prev.interior_vector())
+        grad_sq, _ = _gradient_sq(problem, rep.solution.interior_vector())
         if np.all(grad_sq <= g_sq):
             break
 
-    res = hjb_residual(problem, prev)
+    final = reports[-1].solution
+    res = hjb_residual(problem, final)
     return HjbReport(
-        solution=prev,
+        solution=final,
         eps_trace=trace,
         residual_pde_pos=res["pde_pos"],
         residual_grad_pos=res["grad_pos"],
@@ -165,6 +141,6 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
         active_set_fraction=res["active_set_fraction"],
         grad_sup=reports[-1].grad_sup,
         bound_C1=reports[-1].bound_C1,
-        iterations_total=total_iter,
+        iterations_total=sum(r.iterations for r in reports),
         nidd_reports=reports,
     )

@@ -1,19 +1,19 @@
 """Penalized nonlinear Dirichlet solver.
 
 The penalized problem  gamma u + psi_eps(|D u|^2 - g^2) = h  is solved by
-Newton's method with a non-monotone backtracking line search; a step that
-fails the search is retried along a fixed ladder of Levenberg shifts.  Every
-linear system the solver meets, the linear Dirichlet problem and each Newton
-step alike, splits as (P - J) x = b: J is sparse and P has a cheap LU.
-GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b solves it;
-with J = 0 the first preconditioner solve is already exact.  The linear
-problem and most Newton steps reuse one cached LU, that of the local
-M-matrix plus the jump mass, with J the jump gather less the penalty's
-gradient terms on the few rows where the penalty is active.  A Newton step
-with a Levenberg shift, or with more active rows, factors P = local + jump
-mass + gradient terms (+ shift) and keeps J the jump gather.  The runtime
-diagnostics check the a priori sandwich 0 <= u <= C1 and record the
-gradient sup.
+Newton's method with a non-monotone backtracking line search.  A solve
+that fails is retried by eps-continuation: from the eps of its start to
+the target through geometric midpoints, each solved from the one before.
+Every linear system the solver meets, the linear Dirichlet problem and
+each Newton step alike, splits as (P - J) x = b: J is sparse and P has a
+cheap LU.  GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b
+solves it; with J = 0 the first preconditioner solve is already exact.
+The linear problem and most Newton steps reuse one cached LU, that of the
+local M-matrix plus the jump mass, with J the jump gather less the
+penalty's gradient terms on the few rows where the penalty is active.  A
+Newton step with more active rows factors P = local + jump mass +
+gradient terms and keeps J the jump gather.  The runtime diagnostics check
+the a priori sandwich 0 <= u <= C1 and record the gradient sup.
 """
 
 from __future__ import annotations
@@ -44,9 +44,14 @@ _GMRES_RESTART = 60
 # GMRES iteration to the base solve's (16 or fewer on the shipped configs),
 # and about half the restart window leaves room for both
 _LOW_RANK_ROWS = 32
-# Levenberg shifts a Newton step tries in turn until one passes the line
-# search; the next step starts one rung below the one that passed
-_SHIFTS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+# a cold start counts as a solve at this eps, the first of
+# hjb.DEFAULT_EPS_SCHEDULE
+_COLD_EPS = 0.5
+# a failing solve is retried through geometric midpoints of its eps step,
+# nested at most this deep
+_MAX_DEPTH = 8
+# comparison_check's premise and order slack, times (1 + max |h|)
+_COMPARISON_TOL_FACTOR = 1e-8
 
 
 @dataclass
@@ -139,18 +144,17 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int
 
 
-def _newton_direction(problem, pf, g_int, w, res_vec, shift=0.0):
-    """Solve (jacobian + Levenberg shift) delta = -res_vec at the iterate w.
+def _newton_direction(problem, pf, g_int, w, res_vec):
+    """Solve jacobian delta = -res_vec at the iterate w.
 
     The Jacobian is gamma + sum_k diag(2 psi' D_k w) G_k, and the gradient
-    terms vanish off the penalty's active set.  With no shift and at most
-    _LOW_RANK_ROWS active rows, the step reuses the cached LU of the local
-    M-matrix plus the jump mass and moves the gradient terms into the
-    gather: it splits as local - (J - terms), J the jump gather.  A
-    low-rank solve whose GMRES misses its test falls back to the factored
-    split below; with no active row the two splits are the same.
-    Otherwise P = local + the gradient terms is factorized, and the split
-    is P - J.  The shift adds shift (|jacobian diagonal| + 1) to P.
+    terms vanish off the penalty's active set.  With at most _LOW_RANK_ROWS
+    active rows, the step reuses the cached LU of the local M-matrix plus
+    the jump mass and moves the gradient terms into the gather: it splits
+    as local - (J - terms), J the jump gather.  A low-rank solve whose
+    GMRES misses its test falls back to the factored split below; with no
+    active row the two splits are the same.  Otherwise P = local + the
+    gradient terms is factorized, and the split is P - J.
     Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
@@ -160,7 +164,7 @@ def _newton_direction(problem, pf, g_int, w, res_vec, shift=0.0):
     terms = [sp.diags(slope * grads[:, k]) @ G
              for k, G in enumerate(problem.grad_ops())]
     active = np.count_nonzero(slope)
-    if shift == 0.0 and active <= _LOW_RANK_ROWS:
+    if active <= _LOW_RANK_ROWS:
         gather = J - sum(terms) if active else J
         delta, converged = _solve_split(mat.local_solver(), gather, -res_vec)
         if converged or not active:
@@ -168,8 +172,6 @@ def _newton_direction(problem, pf, g_int, w, res_vec, shift=0.0):
     P = mat.local_matrix()
     for term in terms:
         P = P + term
-    if shift > 0.0:
-        P = P + shift * sp.diags(np.abs(P.diagonal() - J.diagonal()) + 1.0)
     return _solve_split(spla.splu(P.tocsc()), J, -res_vec)[0]
 
 
@@ -177,25 +179,56 @@ _STOP_MESSAGES = {
     "max_iter": "no convergence in {n} iterations",
     "line_search_failed": "line search found no acceptable step at "
                           "iteration {n}",
+    "singular_split": "singular Newton matrix at iteration {n}",
 }
 
 
 def solve_nidd(problem, eps, opts=None, initial=None):
     """Solve the penalized problem at one eps; returns a NiddReport.
 
-    Newton's method from the SolutionField `initial` (a warm start) when
-    given, else from zero.  Each step climbs the ladder `_SHIFTS`, from
-    one rung below the rung the previous step passed, until the shifted
-    direction passes a backtracking line search; a singular split skips
-    its rung.  The penalty curvature near the free-boundary rim makes a
-    strictly monotone search zigzag, so a step passes if its merit stays
-    below the largest of the last six, and the best iterate seen is what
-    the solver returns.  MaxIterationsExceeded carries that iterate and
-    the reason: "max_iter" or "line_search_failed" (no rung passed).
+    Newton's method starts from the NiddReport `initial` (a warm start at
+    initial.eps) when given, else from zero, which counts as eps 0.5.  A
+    step passes the backtracking line search if its merit stays below the
+    largest of the last six, since the penalty curvature near the
+    free-boundary rim makes a strictly monotone search zigzag, and an
+    attempt returns the best iterate seen.  A failing attempt is retried
+    from the start through the geometric midpoint of the two eps, each
+    half retried the same way, at most _MAX_DEPTH deep; `iterations` sums
+    the Newton steps of the attempts that converged.  MaxIterationsExceeded
+    is that of the last attempt, with its best iterate and the reason:
+    "max_iter", "line_search_failed" (no step length passed) or
+    "singular_split" (a Newton matrix did not factor).
     """
     opts = opts or SolverOptions()
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    grid = problem.grid
+    if initial is None:
+        u0, eps0 = np.zeros(grid.n_interior), _COLD_EPS
+    else:
+        start = initial.solution
+        if start.grid is not grid and not start.grid.same_as(grid):
+            raise GridMismatch("warm start lives on a different grid")
+        u0, eps0 = start.interior_vector(), initial.eps
+    return _continue(problem, eps, eps0, u0, opts, 0)
+
+
+def _continue(problem, eps, eps0, u0, opts, depth):
+    """Solve at eps from u0, the field at eps0, bisecting the eps step in
+    log scale while an attempt fails."""
+    try:
+        return _newton(problem, eps, u0, opts)
+    except MaxIterationsExceeded:
+        if depth >= _MAX_DEPTH or eps0 == eps:
+            raise
+    mid = float(np.sqrt(eps0 * eps))
+    rep_mid = _continue(problem, mid, eps0, u0, opts, depth + 1)
+    rep = _continue(problem, eps, mid, rep_mid.solution.interior_vector(),
+                    opts, depth + 1)
+    rep.iterations += rep_mid.iterations
+    return rep
+
+
+def _newton(problem, eps, u, opts):
+    """One Newton attempt at eps from the interior vector u."""
     pf = PenaltyFn(eps)
     grid = problem.grid
     gamma = problem.matrix().gamma_matrix()
@@ -207,18 +240,10 @@ def solve_nidd(problem, eps, opts=None, initial=None):
 
     bound_c1 = problem.bound_c1()
 
-    if initial is not None:
-        if initial.grid is not grid and not initial.grid.same_as(grid):
-            raise GridMismatch("warm start lives on a different grid")
-        u = initial.interior_vector()
-    else:
-        u = np.zeros(grid.n_interior)
-
     res_vec = _residual_vec(problem, gamma, pf, u, h_int, g_int)
     res = float(np.max(np.abs(res_vec)))
     update = np.inf
     iterations = 0
-    rung = 0
     merit_window = []
     best_res = res
     best_u = u.copy()
@@ -234,22 +259,18 @@ def solve_nidd(problem, eps, opts=None, initial=None):
         merit_window.append(float(np.linalg.norm(res_vec)))
         del merit_window[:-6]
         window_cap = max(merit_window)
+        try:
+            delta = _newton_direction(problem, pf, g_int, u, res_vec)
+        except RuntimeError:
+            stop = "singular_split"
+            break
         step = None
-        for rung in range(max(rung - 1, 0), len(_SHIFTS)):
-            try:
-                delta = _newton_direction(problem, pf, g_int, u, res_vec,
-                                          _SHIFTS[rung])
-            except RuntimeError:  # singular split: try the next shift
-                continue
-            for alpha in (1.0, 0.5, 0.25, 0.125):
-                u_try = u + alpha * delta
-                res_try = _residual_vec(problem, gamma, pf, u_try, h_int,
-                                        g_int)
-                merit = float(np.linalg.norm(res_try))
-                if merit < window_cap or merit == 0.0:
-                    step = u_try, res_try
-                    break
-            if step is not None:
+        for alpha in (1.0, 0.5, 0.25, 0.125):
+            u_try = u + alpha * delta
+            res_try = _residual_vec(problem, gamma, pf, u_try, h_int, g_int)
+            merit = float(np.linalg.norm(res_try))
+            if merit < window_cap or merit == 0.0:
+                step = u_try, res_try
                 break
         if step is None:
             stop = "line_search_failed"
@@ -281,7 +302,7 @@ def solve_nidd(problem, eps, opts=None, initial=None):
         report.converged = False
         head = _STOP_MESSAGES[stop].format(n=iterations)
         raise MaxIterationsExceeded(
-            f"{head} (residual {res:.3e}, update {update:.3e})",
+            f"eps {eps:g}: {head} (residual {res:.3e}, update {update:.3e})",
             report=report, reason=stop)
 
     if report.min_value < -_SANDWICH_TOL or \
@@ -292,33 +313,31 @@ def solve_nidd(problem, eps, opts=None, initial=None):
     return report
 
 
-def comparison_check(problem, eps, phi, eta, tol=None, premise_tol=None):
+def comparison_check(problem, eps, phi, eta):
     """Order check for a (super, sub) pair of the penalized problem.
 
     phi must satisfy the relation with <= h node-wise and eta with >= h;
     inputs failing the premise raise NotApplicable with the first bad node.
-    When the premise holds, returns whether max(phi - eta) <= tol.
+    When the premise holds, returns whether max(phi - eta) <= tol; both
+    tests use tol = _COMPARISON_TOL_FACTOR (1 + max |h|).
     """
     pf = PenaltyFn(eps)
     gamma = problem.matrix().gamma_matrix()
     h_int = problem.h_interior()
     g_int = problem.g_interior()
     h_scale = float(np.max(np.abs(h_int))) if h_int.size else 0.0
-    if premise_tol is None:
-        premise_tol = 1e-8 * (1.0 + h_scale)
-    if tol is None:
-        tol = 1e-8 * (1.0 + h_scale)
+    tol = _COMPARISON_TOL_FACTOR * (1.0 + h_scale)
 
     phi_v = phi.interior_vector()
     eta_v = eta.interior_vector()
     r_phi = _residual_vec(problem, gamma, pf, phi_v, h_int, g_int)
     r_eta = _residual_vec(problem, gamma, pf, eta_v, h_int, g_int)
-    bad_super = np.flatnonzero(r_phi > premise_tol)
+    bad_super = np.flatnonzero(r_phi > tol)
     if bad_super.size:
         raise NotApplicable(
             f"phi is not a super-solution at interior node {bad_super[0]} "
             f"(defect {r_phi[bad_super[0]]:.3e})", node_index=int(bad_super[0]))
-    bad_sub = np.flatnonzero(r_eta < -premise_tol)
+    bad_sub = np.flatnonzero(r_eta < -tol)
     if bad_sub.size:
         raise NotApplicable(
             f"eta is not a sub-solution at interior node {bad_sub[0]} "

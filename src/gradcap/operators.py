@@ -303,7 +303,7 @@ class OperatorMatrix:
         """Cached factorization of the local M-matrix plus jump mass.
 
         It preconditions the linear Dirichlet solve and every Newton step
-        of nidd that carries no Levenberg shift and few active penalty rows.
+        of nidd with few active penalty rows.
         """
         import scipy.sparse.linalg as spla
         if "local_lu" not in self._cache:

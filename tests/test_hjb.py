@@ -175,24 +175,32 @@ def test_continuation_matches_cold_solve():
 
 
 def test_failing_step_is_substepped_and_counted_once(monkeypatch):
-    import gradcap.hjb as hjb_mod
+    import gradcap.nidd as nidd
+    from gradcap.errors import MaxIterationsExceeded
     from gradcap.nidd import SolverOptions, solve_nidd
-    solved = []
+    newton = nidd._newton
+    attempts = []
 
-    def recording(problem, eps, opts, initial):
-        rep = solve_nidd(problem, eps, opts, initial)
-        solved.append((eps, rep.iterations))
+    def recording(problem, eps, u, opts):
+        try:
+            rep = newton(problem, eps, u, opts)
+        except MaxIterationsExceeded:
+            attempts.append((eps, None))
+            raise
+        attempts.append((eps, rep.iterations))
         return rep
 
-    monkeypatch.setattr(hjb_mod, "solve_nidd", recording)
+    monkeypatch.setattr(nidd, "_newton", recording)
     prob = make_problem_1d(h_grid=1 / 64, h=10.0, g=0.5)
-    rep = solve_hjb(prob, (0.5, 0.01), HjbOptions(nidd=SolverOptions(
-        max_iter=6)))
-    # the jump 0.5 -> 0.01 needs more than 6 Newton steps cold, so it
-    # passes through the geometric midpoint
-    assert [e for e, _ in solved] == [0.5, pytest.approx(np.sqrt(0.005)),
-                                      0.01]
-    assert rep.iterations_total == sum(n for _, n in solved)
+    rep = solve_nidd(prob, 0.01, SolverOptions(max_iter=6))
+    # a cold start counts as eps 0.5; the step to 0.01 needs more than 6
+    # Newton steps, so it is retried through the geometric midpoint
+    assert attempts[0] == (0.01, None)
+    assert attempts[1][0] == pytest.approx(np.sqrt(0.5 * 0.01))
+    assert attempts[-1][0] == 0.01 and attempts[-1][1] is not None
+    assert rep.eps == 0.01
+    assert rep.iterations == sum(n for _, n in attempts if n is not None)
+    monkeypatch.undo()
     cold = solve_nidd(prob, 0.01)
     assert np.max(np.abs(rep.solution.values - cold.solution.values)) <= 1e-6
 

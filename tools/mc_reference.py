@@ -12,10 +12,11 @@ the `config_hash` key of a JSON file), so a change to the config schema
 that moves only the stamps leaves the reference unchanged:
 the `solve-hjb` CSV and report of every shipped config; on
 `example_1d_control`, the `solve-nidd` report at eps 0.1 and at eps 0.01
-(a cold solve that climbs the Levenberg shift ladder), the `residual`
-JSON of that field, `simulate` (null, constant and penalized policies) and
-`verify` (penalized and singular modes) JSON; and the report of a
-`solve-nidd` run that does not converge (`example_1d_tight` at eps 1e-4).
+(a cold solve that the eps-continuation retries), the `residual` JSON of
+the eps-0.1 field, `simulate` (null, constant and penalized policies) and
+`verify` (penalized and singular modes) JSON; and the report of a cold
+`solve-nidd` on `example_1d_tight` at eps 1e-4, where a bare Newton solve
+fails and the continuation gets through.
 The library cases print the mean, standard error and largest push rate in
 hex of 2D estimates: penalized verification with compound-Poisson jumps in
 the unit ball and in a box, an impulse along (1, 1), a callable rate, a
