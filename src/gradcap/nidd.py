@@ -12,8 +12,11 @@ The linear problem and most Newton steps reuse one cached LU, that of the
 local M-matrix plus the jump mass, with J the jump gather less the
 penalty's gradient terms on the few rows where the penalty is active.  A
 Newton step with more active rows factors P = local + jump mass +
-gradient terms and keeps J the jump gather.  The runtime diagnostics check
-the a priori sandwich 0 <= u <= C1 and record the gradient sup.
+gradient terms and keeps J the jump gather.  GMRES solves to a relative
+1e-13, except on a Newton step that reuses the cached LU: that step is
+inexact, solved to the forcing tolerance _FORCING.  The runtime
+diagnostics check the a priori sandwich 0 <= u <= C1 and record the
+gradient sup.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ _TOL_UPDATE_FACTOR = 1e-8
 _TOL_RES_FACTOR = 1e-6
 # restart length of the split solves' GMRES
 _GMRES_RESTART = 60
+# GMRES's relative tolerance on the preconditioned residual of a split solve
+_GMRES_RTOL = 1e-13
+# the relative tolerance of an inexact Newton step on the cached-LU split
+# (Dembo, Eisenstat & Steihaug 1982).  There P is the eps-independent local
+# M-matrix, so the preconditioned residual GMRES reads stays within a fixed
+# factor of the true one; the factored split's P carries the 1/eps gradient
+# terms and stays at _GMRES_RTOL.  Tighter is not safer: on
+# example_1d_control at eps 1e-4, forcings of 1e-5, 1e-2 and
+# min(1e-2, residual) each fail a solve that 1e-4 passes.
+_FORCING = 1e-4
 # a Newton step keeps the cached local LU while the penalty is active on at
 # most this many rows: in exact arithmetic each active row adds at most one
 # GMRES iteration to the base solve's (16 or fewer on the shipped configs),
@@ -82,20 +95,29 @@ def _as_interior(matrix, rhs):
     return rhs.copy()
 
 
-def _solve_split(lu, J, b):
-    """Solve (P - J) x = b, where `lu` factorizes P and J is sparse.
+def _solve_split(lu, J, b, T=None, rtol=_GMRES_RTOL):
+    """Solve (P - J + T) x = b, where `lu` factorizes P and J, T are sparse.
 
-    GMRES runs on the left-preconditioned system (I - P^-1 J) x = P^-1 b
-    from x = P^-1 b, so its stopping test reads the preconditioned residual;
-    the plain residual of a stiff P sits at round-off far above 1e-13 |b|.
-    Returns x and whether GMRES met that test (always so when J = 0).
+    GMRES runs on the left-preconditioned system (I - P^-1 (J - T)) x =
+    P^-1 b from x = P^-1 b, so its stopping test reads the preconditioned
+    residual, |P^-1 (b - (P - J + T) x)| <= rtol |P^-1 b|; the plain
+    residual of a stiff P sits at round-off far above 1e-13 |b|.  T, the
+    few rows of a Newton step's gradient terms, is applied as its own
+    product, so J - T is never formed.  Returns x and whether GMRES met
+    that test (always so when J is empty and T None: P^-1 b is then exact).
     """
     x0 = lu.solve(b)
-    if J.nnz == 0:
+    if J.nnz == 0 and T is None:
         return x0, True
-    op = spla.LinearOperator(J.shape, matvec=lambda v: v - lu.solve(J @ v),
-                             dtype=float)
-    x, info = spla.gmres(op, x0, x0=x0, rtol=1e-13, atol=0.0,
+
+    def matvec(v):
+        w = J @ v
+        if T is not None:
+            w -= T @ v
+        return v - lu.solve(w)
+
+    op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
+    x, info = spla.gmres(op, x0, x0=x0, rtol=rtol, atol=0.0,
                          restart=_GMRES_RESTART, maxiter=20)
     return x, info == 0
 
@@ -144,17 +166,19 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int
 
 
-def _newton_direction(problem, pf, g_int, w, res_vec):
+def _newton_direction(problem, pf, g_int, w, res_vec, forcing):
     """Solve jacobian delta = -res_vec at the iterate w.
 
     The Jacobian is gamma + sum_k diag(2 psi' D_k w) G_k, and the gradient
     terms vanish off the penalty's active set.  With at most _LOW_RANK_ROWS
     active rows, the step reuses the cached LU of the local M-matrix plus
-    the jump mass and moves the gradient terms into the gather: it splits
-    as local - (J - terms), J the jump gather.  A low-rank solve whose
-    GMRES misses its test falls back to the factored split below; with no
-    active row the two splits are the same.  Otherwise P = local + the
-    gradient terms is factorized, and the split is P - J.
+    the jump mass and applies the gradient terms T next to the gather: it
+    splits as local - (J - T), J the jump gather, and GMRES stops at the
+    relative tolerance `forcing`.  A low-rank solve whose GMRES misses it
+    falls back to the factored split below; with no active row the two
+    splits are the same.  Otherwise P = local + the gradient terms is
+    factorized, the split is P - J, and GMRES solves it to _GMRES_RTOL
+    whatever `forcing` is.
     Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
@@ -165,8 +189,9 @@ def _newton_direction(problem, pf, g_int, w, res_vec):
              for k, G in enumerate(problem.grad_ops())]
     active = np.count_nonzero(slope)
     if active <= _LOW_RANK_ROWS:
-        gather = J - sum(terms) if active else J
-        delta, converged = _solve_split(mat.local_solver(), gather, -res_vec)
+        T = sum(terms) if active else None
+        delta, converged = _solve_split(mat.local_solver(), J, -res_vec, T,
+                                        forcing)
         if converged or not active:
             return delta
     P = mat.local_matrix()
@@ -190,11 +215,13 @@ def solve_nidd(problem, eps, opts=None, initial=None):
     initial.eps) when given, else from zero, which counts as eps 0.5.  A
     step passes the backtracking line search if its merit stays below the
     largest of the last six, since the penalty curvature near the
-    free-boundary rim makes a strictly monotone search zigzag, and an
-    attempt returns the best iterate seen.  A failing attempt is retried
-    from the start through the geometric midpoint of the two eps, each
-    half retried the same way, at most _MAX_DEPTH deep; `iterations` sums
-    the Newton steps of the attempts that converged.  MaxIterationsExceeded
+    free-boundary rim makes a strictly monotone search zigzag, or if its
+    residual sup meets the stopping tolerance, since from a start at
+    round-off no step lowers the merit strictly; an attempt returns the
+    best iterate seen.  A failing attempt is retried from the start
+    through the geometric midpoint of the two eps, each half retried the
+    same way, at most _MAX_DEPTH deep; `iterations` sums the Newton steps
+    of the attempts that converged.  MaxIterationsExceeded
     is that of the last attempt, with its best iterate and the reason:
     "max_iter", "line_search_failed" (no step length passed) or
     "singular_split" (a Newton matrix did not factor).
@@ -260,7 +287,8 @@ def _newton(problem, eps, u, opts):
         del merit_window[:-6]
         window_cap = max(merit_window)
         try:
-            delta = _newton_direction(problem, pf, g_int, u, res_vec)
+            delta = _newton_direction(problem, pf, g_int, u, res_vec,
+                                      _FORCING)
         except RuntimeError:
             stop = "singular_split"
             break
@@ -269,7 +297,7 @@ def _newton(problem, eps, u, opts):
             u_try = u + alpha * delta
             res_try = _residual_vec(problem, gamma, pf, u_try, h_int, g_int)
             merit = float(np.linalg.norm(res_try))
-            if merit < window_cap or merit == 0.0:
+            if merit < window_cap or np.max(np.abs(res_try)) <= tol_res:
                 step = u_try, res_try
                 break
         if step is None:

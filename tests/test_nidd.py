@@ -12,10 +12,11 @@ from gradcap.errors import (MaxIterationsExceeded, NotApplicable,
 from gradcap.geometry import Box, SolutionField, build_grid
 from gradcap.hjb import solve_hjb
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
-from gradcap.nidd import (_LOW_RANK_ROWS, _TOL_UPDATE_FACTOR,
-                          SolverOptions, _check_linear_residual,
-                          _newton_direction, comparison_check,
-                          solve_linear_dirichlet, solve_nidd)
+from gradcap.nidd import (_FORCING, _GMRES_RTOL, _LOW_RANK_ROWS,
+                          _TOL_UPDATE_FACTOR, SolverOptions,
+                          _check_linear_residual, _newton_direction,
+                          comparison_check, solve_linear_dirichlet,
+                          solve_nidd)
 from gradcap.operators import Coefficients, interior_gradient
 from gradcap.penalty import PenaltyFn
 from gradcap.problem import Problem
@@ -91,10 +92,11 @@ def test_newton_direction_matches_assembled_jacobian():
     w = w.interior_vector()
     res, jac, active = _newton_system(prob, pf, w)
     # the penalty is active at w on too many rows for the cached local LU,
-    # so the step factors the Jacobian's split
+    # so the step factors the Jacobian's split, which solves to _GMRES_RTOL
+    # whatever the forcing
     assert active > _LOW_RANK_ROWS
     ref = spla.spsolve(jac.tocsc(), -res)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res, _FORCING)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -126,7 +128,8 @@ def test_low_rank_newton_direction_matches_assembled_jacobian(
     assert 0 < active <= _LOW_RANK_ROWS
     ref = spla.spsolve(jac.tocsc(), -res)
     _forbid_factorization(monkeypatch, prob)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
+                              _GMRES_RTOL)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -152,9 +155,41 @@ def test_unconverged_low_rank_step_factorizes_the_jacobian(monkeypatch,
 
     monkeypatch.setattr(spla, "gmres", unconverged)
     monkeypatch.setattr(spla, "splu", counting)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
+                              _GMRES_RTOL)
     assert len(factored) == 1
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 5e-5])
+def test_cached_split_newton_step_stops_at_the_forcing(monkeypatch,
+                                                       ball_at_1e4, eps):
+    # the inexact step: GMRES stops once |P^-1 (res + jac delta)| is below
+    # _FORCING |P^-1 res|, with fewer LU solves than the exact step makes
+    prob, w = ball_at_1e4
+    pf = PenaltyFn(eps)
+    res, jac, active = _newton_system(prob, pf, w)
+    assert 0 < active <= _LOW_RANK_ROWS
+    mat = prob.matrix()
+    lu = mat.local_solver()
+    _forbid_factorization(monkeypatch, prob)
+    solves = []
+
+    class CountingLU:
+        def solve(self, b):
+            solves.append(1)
+            return lu.solve(b)
+
+    monkeypatch.setattr(mat, "local_solver", CountingLU)
+    counts, deltas = [], []
+    for rtol in (_GMRES_RTOL, _FORCING):
+        solves.clear()
+        deltas.append(_newton_direction(prob, pf, prob.g_interior(), w, res,
+                                        rtol))
+        counts.append(len(solves))
+    inexact = np.linalg.norm(lu.solve(res + jac @ deltas[1]))
+    assert inexact <= _FORCING * np.linalg.norm(lu.solve(res))
+    assert counts[1] < counts[0]
 
 
 def test_inactive_penalty_newton_direction_factorizes_nothing(monkeypatch):
@@ -167,7 +202,8 @@ def test_inactive_penalty_newton_direction_factorizes_nothing(monkeypatch):
     assert active == 0
     ref = spla.spsolve(jac.tocsc(), -res)
     _forbid_factorization(monkeypatch, prob)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res)
+    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
+                              _GMRES_RTOL)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -341,6 +377,16 @@ def test_warm_start_from_fixed_point_is_immediate():
     cold = solve_nidd(prob, 0.05)
     warm = solve_nidd(prob, 0.05, initial=cold)
     assert warm.iterations <= 3
+    assert np.max(np.abs(warm.solution.values - cold.solution.values)) <= 1e-8
+
+
+def test_warm_start_at_round_off_passes_the_line_search():
+    # the field's residual sits at round-off, where no step lowers the
+    # merit strictly; the trial still passes, its residual being converged
+    prob = load_config(CONFIGS / "example_1d_tight.json").problem
+    cold = solve_nidd(prob, 1e-3)
+    warm = solve_nidd(prob, 1e-3, initial=cold)
+    assert warm.iterations == 1
     assert np.max(np.abs(warm.solution.values - cold.solution.values)) <= 1e-8
 
 
