@@ -111,9 +111,10 @@ def _fields(report, *skip):
 
 
 def cmd_solve_nidd(args):
+    eps = _penalized_eps(args.eps, "solve-nidd")
     spec = load_config(args.config)
     try:
-        rep = solve_nidd(spec.problem, args.eps, spec.solver_options)
+        rep = solve_nidd(spec.problem, eps, spec.solver_options)
         exit_code = 0
     except MaxIterationsExceeded as exc:
         rep = exc.report

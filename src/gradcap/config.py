@@ -84,6 +84,24 @@ def _number(value, field_path):
     return isinstance(value, (int, float))
 
 
+def _finite(value, field_path):
+    """value as a float; anything but a finite number is rejected."""
+    if not _number(value, field_path):
+        raise ValidationError(field_path, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _finite_list(values, field_path, size=None):
+    """The list `values` as a tuple of `_finite` floats, `size` of them if
+    given."""
+    if not isinstance(values, list) \
+            or size is not None and len(values) != size:
+        raise ValidationError(field_path, "expected a list of "
+                              f"{size or 'finite'} numbers")
+    return tuple(_finite(v, f"{field_path}[{k}]")
+                 for k, v in enumerate(values))
+
+
 def _scalar_field(value, dim, field_path):
     if _number(value, field_path):
         v = float(value)
@@ -132,9 +150,7 @@ def _check_settings(solver, sde):
         raise ValidationError("solver.max_iter",
                               f"expected a positive integer, got {value!r}")
     for key, value in sde.items():
-        # a null horizon means the default, 14 / q
-        if not (key == "t_max" and value is None):
-            _positive_number(value, f"sde.{key}")
+        _positive_number(value, f"sde.{key}")
 
 
 def _parse_domain(d):
@@ -142,15 +158,19 @@ def _parse_domain(d):
     kind = d["type"]
     if kind == "box":
         _expect_keys(d, "domain", ("type", "lo", "hi"))
+        lo = _finite_list(d["lo"], "domain.lo")
+        hi = _finite_list(d["hi"], "domain.hi")
         try:
-            return Box(lo=tuple(d["lo"]), hi=tuple(d["hi"]))
-        except (ValueError, TypeError) as exc:
+            return Box(lo=lo, hi=hi)
+        except ValueError as exc:
             raise ValidationError("domain", str(exc)) from exc
     if kind == "ball":
         _expect_keys(d, "domain", ("type", "center", "radius"))
+        center = _finite_list(d["center"], "domain.center")
+        radius = _finite(d["radius"], "domain.radius")
         try:
-            return Ball(center=tuple(d["center"]), radius=d["radius"])
-        except (ValueError, TypeError) as exc:
+            return Ball(center=center, radius=radius)
+        except ValueError as exc:
             raise ValidationError("domain", str(exc)) from exc
     raise ValidationError("domain.type", f"unknown domain type {kind!r}")
 
@@ -166,13 +186,13 @@ def _parse_levy(d, dim):
         return None
     if kind == "compound_poisson":
         _expect_keys(d, "levy", ("type", "atoms"))
+        if not isinstance(d["atoms"], list):
+            raise ValidationError("levy.atoms", "expected a list of atoms")
         atoms = []
         for i, row in enumerate(d["atoms"]):
-            if not isinstance(row, list) or len(row) != dim + 1:
-                raise ValidationError(
-                    f"levy.atoms[{i}]",
-                    f"expected [z_1..z_{dim}, mass]")
-            atoms.append((tuple(row[:dim]), row[dim]))
+            # [z_1 .. z_dim, mass]
+            *z, mass = _finite_list(row, f"levy.atoms[{i}]", dim + 1)
+            atoms.append((tuple(z), mass))
         try:
             return CompoundPoisson(atoms=tuple(atoms))
         except ValueError as exc:
@@ -181,11 +201,18 @@ def _parse_levy(d, dim):
         _expect_keys(d, "levy",
                      ("type", "kappa", "alpha", "delta", "zmax", "rays"),
                      ("lambda",))
+        num = {key: _finite(d[key], f"levy.{key}")
+               for key in ("kappa", "alpha", "lambda", "delta", "zmax")
+               if key in d}
+        if not isinstance(d["rays"], list):
+            raise ValidationError("levy.rays", "expected a list of rays")
+        rays = tuple(_finite_list(r, f"levy.rays[{i}]", dim)
+                     for i, r in enumerate(d["rays"]))
         try:
-            return BVDensity(kappa=d["kappa"], alpha=d["alpha"],
-                             lambda_temper=d.get("lambda", 0.0),
-                             z_min=d["delta"], z_max=d["zmax"],
-                             rays=tuple(tuple(r) for r in d["rays"]))
+            return BVDensity(kappa=num["kappa"], alpha=num["alpha"],
+                             lambda_temper=num.get("lambda", 0.0),
+                             z_min=num["delta"], z_max=num["zmax"],
+                             rays=rays)
         except DivergentMeasure as exc:
             raise ValidationError(
                 "levy.alpha",
@@ -225,14 +252,10 @@ def _parse_matrix_field(value, dim, field_path):
     if _number(value, field_path):
         mat = np.eye(dim) * float(value)
     elif isinstance(value, list):
-        mat = np.asarray(value, dtype=float)
-        if mat.shape != (dim, dim):
+        if len(value) != dim:
             raise ValidationError(field_path, f"expected a {dim}x{dim} matrix")
-        for i, row in enumerate(value):
-            for k, entry in enumerate(row):
-                if not _number(entry, f"{field_path}[{i}][{k}]"):
-                    raise ValidationError(f"{field_path}[{i}][{k}]",
-                                          "expected a number")
+        mat = np.array([_finite_list(row, f"{field_path}[{i}]", dim)
+                        for i, row in enumerate(value)])
         if not np.allclose(mat, mat.T):
             raise ValidationError(field_path, "matrix must be symmetric")
     else:
@@ -326,7 +349,6 @@ def _normalize(raw):
                                 {"type": "constant", "value": 1.0}),
         "quadrature": {
             "delta": raw.get("quadrature", {}).get("delta", 1e-3),
-            "r": raw.get("quadrature", {}).get("r", 2.0),
             "n_per_decade": raw.get("quadrature", {}).get("n_per_decade", 16),
         },
         "eps_schedule": raw.get("eps_schedule", list(DEFAULT_EPS_SCHEDULE)),
@@ -356,8 +378,7 @@ def build_spec(raw):
     _expect_keys(raw, "config", _TOP_KEYS_REQ, _TOP_KEYS_OPT)
     domain = _parse_domain(raw["domain"])
     dim = domain.dim
-    if not isinstance(raw["h"], (int, float)) or raw["h"] <= 0:
-        raise ValidationError("h", "grid spacing must be a positive number")
+    _positive_number(raw["h"], "h")
     try:
         grid = build_grid(domain, float(raw["h"]))
     except SpacingTooCoarse as exc:
@@ -375,16 +396,16 @@ def build_spec(raw):
     s = _parse_jump_density(raw.get("jump_density"), dim)
 
     _expect_keys(raw.get("quadrature", {}), "quadrature", (),
-                 ("delta", "r", "n_per_decade"))
+                 ("delta", "n_per_decade"))
     _expect_keys(raw.get("solver", {}), "solver", (), ("max_iter",))
     sde = raw.get("sde", {})
-    _expect_keys(sde, "sde", (), ("dt", "t_max"))
+    _expect_keys(sde, "sde", (), ("dt",))
     _check_settings(raw.get("solver", {}), sde)
     normalized = _normalize(raw)
 
     qd = normalized["quadrature"]
     try:
-        quad = build_quadrature(levy, qd["delta"], qd["r"], qd["n_per_decade"])
+        quad = build_quadrature(levy, qd["delta"], qd["n_per_decade"])
     except (InvalidCutoffs, ValueError, TypeError) as exc:
         raise ValidationError("quadrature", str(exc)) from exc
 

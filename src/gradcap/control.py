@@ -83,7 +83,7 @@ class SdeParams:
     step on the live paths; the sigma of `sde_from_problem` returns the one
     matrix it factored in advance.  The horizon cap `t_max` defaults to
     14 / q, where the discount e^(-14) ~ 8e-7 makes the bias of the cap
-    negligible.
+    negligible; a config states no horizon, so this is its one rule.
     """
 
     domain: object
@@ -121,9 +121,11 @@ def sde_from_problem(problem, q=None, levy=None, jump_truncation=None,
     interior node and s is identically 1 (a = sigma sigma^T / 2, drift b).
     a must also be one matrix at every interior node, so sigma = sqrt(2a)
     is factored once here, not at every step.  The jump measure and its
-    truncation delta are the quadrature's.  `sde` passes `dt` and `t_max`
-    on to `SdeParams`; `q`, `levy` and `jump_truncation` may restate the
-    problem's values, and one that differs from them raises ValueError.
+    truncation delta are the quadrature's.  `sde` passes `dt` (a config's
+    `sde` block) and `t_max` (a library caller's shorter horizon; default
+    14 / q) on to `SdeParams`; `q`, `levy` and `jump_truncation` may
+    restate the problem's values, and one that differs from them raises
+    ValueError.
     """
     grid = problem.grid
     pts = grid.interior_points()
@@ -232,8 +234,9 @@ class PenalizedFeedback:
         grid = fld.grid
         self.grid = grid
         pf = PenaltyFn(eps)
-        grad_nodes = np.array(
-            [t.ravel() for t in _lattice_gradient(grid, fld.values)])
+        # central differences, one-sided at the lattice hull
+        grad_nodes = np.reshape(np.gradient(fld.values, grid.h),
+                                (grid.dim, -1))
         norm = np.linalg.norm(grad_nodes, axis=0)
         g_nodes = np.asarray(g_fn(grid.points()), dtype=float)
         rate_nodes = 2.0 * pf.psi_prime(norm**2 - g_nodes**2) * norm
@@ -259,33 +262,6 @@ class PenalizedFeedback:
         n[0] = 1.0
         np.divide(grad, norm, out=n, where=norm > 0)
         return np.maximum(vals[d], 0.0), n.T, np.maximum(vals[d + 1], 0.0)
-
-
-def _lattice_gradient(grid, values):
-    """Central-difference gradient tables on the full lattice.
-
-    One-sided at the lattice hull; values beyond the hull are zero by the
-    extension convention, and the interpolated tables feed the feedback
-    policy at arbitrary interior states.
-    """
-    tables = []
-    v = values
-    h = grid.h
-    for axis in range(grid.dim):
-        gk = np.zeros_like(v)
-        sl_all = [slice(None)] * grid.dim
-
-        def ax(s):
-            out = list(sl_all)
-            out[axis] = s
-            return tuple(out)
-
-        gk[ax(slice(1, -1))] = (v[ax(slice(2, None))]
-                                - v[ax(slice(None, -2))]) / (2 * h)
-        gk[ax(0)] = (v[ax(1)] - v[ax(0)]) / h
-        gk[ax(-1)] = (v[ax(-1)] - v[ax(-2)]) / h
-        tables.append(gk)
-    return tables
 
 
 @dataclass

@@ -18,7 +18,7 @@ class DivergentMeasure(GradcapError):
 
 
 class InvalidCutoffs(GradcapError):
-    """Quadrature cutoffs do not satisfy 0 < delta < R."""
+    """The small-jump cutoff delta is not positive."""
 
 
 class EllipticityViolation(GradcapError):

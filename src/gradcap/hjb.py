@@ -31,8 +31,9 @@ def check_eps_schedule(schedule):
     """The schedule as a float array; raises ValueError unless it is
     nonempty and strictly decreasing within (0, 1)."""
     arr = np.asarray(schedule, dtype=float)
-    if arr.size == 0 or np.any(arr <= 0) or np.any(arr >= 1) \
-            or np.any(np.diff(arr) >= 0):
+    # written so that a NaN fails every comparison
+    if arr.size == 0 or not np.all((arr > 0) & (arr < 1)) \
+            or not np.all(np.diff(arr) < 0):
         raise ValueError("must be strictly decreasing within (0, 1)")
     return arr
 

@@ -114,8 +114,8 @@ class CompoundPoisson:
         keep = self._r < delta
         return float(np.sum(self._m[keep] * self._r[keep]))
 
-    def quadrature_nodes(self, delta, R, n_per_decade):
-        # explicit atoms pass through untouched; tail cutoff never drops one
+    def quadrature_nodes(self, delta, n_per_decade):
+        # every atom the simulation samples is a node, with its mass
         keep = self._r >= delta
         return self._Z[keep], self._m[keep]
 
@@ -184,9 +184,10 @@ class BVDensity:
         # conservative bound: integrate the ideal density from 0
         return len(self.rays) * self._ray_moment(1, 0.0, delta)
 
-    def quadrature_nodes(self, delta, R, n_per_decade):
+    def quadrature_nodes(self, delta, n_per_decade):
+        # the support `sample_sizes` draws from
         a = max(delta, self.z_min)
-        b = min(R, self.z_max)
+        b = self.z_max
         if b <= a:
             return np.zeros((0, self.dim)), np.zeros(0)
         # midpoint rule in t = log r resolves the r^(-1-alpha) singularity
@@ -257,14 +258,13 @@ def constant_density(value=1.0):
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for the integral of the measure `levy` (None: no
-    jumps) over delta <= |z| <= R; the operator and the simulation both
-    drop the jumps below delta = `small_jump_cutoff`."""
+    jumps) over |z| >= delta, the jumps the simulation samples; the
+    operator and the simulation both drop the jumps below delta =
+    `small_jump_cutoff`."""
 
     nodes: np.ndarray      # (n, d)
     weights: np.ndarray    # (n,)
     small_jump_cutoff: float
-    tail_cutoff: float
-    discarded_small_mass: float
     levy: object = None
 
     @property
@@ -282,27 +282,17 @@ def moment_check(levy):
     }
 
 
-def build_quadrature(levy, delta, R, n_per_decade=16):
-    """Quadrature rule of `levy` on delta <= |z| <= R after checking the
-    cutoffs; `levy=None` (no jumps) gives the empty rule."""
-    if not 0 < delta < R:
-        raise InvalidCutoffs(f"need 0 < delta < R, got delta={delta}, R={R}")
+def build_quadrature(levy, delta, n_per_decade=16):
+    """Quadrature rule of `levy` on |z| >= delta after checking the cutoff;
+    `levy=None` (no jumps) gives the empty rule."""
+    if not delta > 0:
+        raise InvalidCutoffs(f"need delta > 0, got delta={delta}")
     if n_per_decade < 4:
         raise ValueError("n_per_decade must be at least 4")
     measure = CompoundPoisson(atoms=()) if levy is None else levy
-    Z, w = measure.quadrature_nodes(delta, R, n_per_decade)
-    if Z.size:
-        tail = max(R, float(np.max(np.linalg.norm(Z, axis=1))))
-    else:
-        tail = R
-    return QuadratureRule(
-        nodes=Z,
-        weights=w,
-        small_jump_cutoff=delta,
-        tail_cutoff=tail,
-        discarded_small_mass=measure.small_first_moment(delta),
-        levy=levy,
-    )
+    Z, w = measure.quadrature_nodes(delta, n_per_decade)
+    return QuadratureRule(nodes=Z, weights=w, small_jump_cutoff=delta,
+                          levy=levy)
 
 
 def sample_jumps(levy, delta, T, rng_seed):

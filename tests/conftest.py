@@ -14,8 +14,7 @@ CONFIGS = REPO / "configs"
 
 def empty_quadrature(dim=1):
     return QuadratureRule(nodes=np.zeros((0, dim)), weights=np.zeros(0),
-                          small_jump_cutoff=0.1, tail_cutoff=1.0,
-                          discarded_small_mass=0.0)
+                          small_jump_cutoff=0.1)
 
 
 def make_problem_1d(h_grid=0.125, a=1.0, b=0.0, c=1.0, h=2.0, g=10.0,

@@ -73,7 +73,7 @@ def test_criterion_02_operator_identities():
     t0 = time.time()
     grid = build_grid(Box(lo=(-1,), hi=(1,)), 0.25)
     quad = build_quadrature(
-        CompoundPoisson(atoms=(((0.5,), 2.0), ((-0.7,), 1.0))), 0.1, 2.0)
+        CompoundPoisson(atoms=(((0.5,), 2.0), ((-0.7,), 1.0))), 0.1)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):

@@ -39,7 +39,7 @@ def test_settings_default_from_the_normalized_config():
     from gradcap.nidd import SolverOptions
     spec = build_spec(base_config())
     assert spec.solver_options == SolverOptions()
-    assert spec.normalized["quadrature"] == {"delta": 1e-3, "r": 2.0,
+    assert spec.normalized["quadrature"] == {"delta": 1e-3,
                                              "n_per_decade": 16}
     spec = build_spec(base_config(solver={"max_iter": 7}))
     assert spec.solver_options == SolverOptions(max_iter=7)
@@ -193,8 +193,8 @@ def test_cli_validation_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["example_1d_tight", "example_1d_control"])
-@pytest.mark.parametrize("quad", [{"delta": 3.0, "r": 2.0},
-                                  {"delta": 2.0, "r": 2.0},
+@pytest.mark.parametrize("quad", [{"delta": 0.0},
+                                  {"delta": float("nan")},
                                   {"n_per_decade": 3}])
 def test_cli_bad_quadrature_exit_2(tmp_path, capsys, name, quad):
     # example_1d_tight has no levy block, example_1d_control has one
@@ -242,25 +242,29 @@ def test_bad_settings_rejected(block, key, value):
         build_spec(base_config(**{block: {key: value}}))
 
 
-def test_null_horizon_means_the_default():
+def test_horizon_is_14_over_q():
+    # a config states no horizon: the simulation runs to 14 / q, q = c
     from gradcap.control import sde_from_problem
-    cfg = base_config(sde={"t_max": None})
+    cfg = base_config(sde={"dt": 1e-3})
     cfg["coefficients"]["c"] = 2.0
     spec = build_spec(cfg)
-    assert spec.sde["t_max"] is None
+    assert spec.sde == {"dt": 1e-3}
     assert sde_from_problem(spec.problem, **spec.sde).t_max == 7.0
 
 
 @pytest.mark.parametrize("block, key", [
-    ("coefficients", "theta"), ("config", "q"), ("sde", "jump_truncation")])
+    ("coefficients", "theta"), ("config", "q"), ("sde", "jump_truncation"),
+    ("quadrature", "r"), ("sde", "t_max")])
 def test_cli_restated_problem_fact_is_unknown_key_exit_2(tmp_path, capsys,
                                                         block, key):
-    # the ellipticity floor, the discount and the jump truncation follow
-    # from a, c and quadrature.delta, so a config may not state them again
+    # the ellipticity floor, the discount, the jump truncation, the largest
+    # jump and the horizon follow from a, c, quadrature.delta, the levy
+    # block and 14 / c, so a config may not state them again
     from gradcap.cli import main
     cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
-    value = {"theta": 0.09, "q": 2.0, "jump_truncation": 1e-3}[key]
-    (cfg if block == "config" else cfg[block])[key] = value
+    value = {"theta": 0.09, "q": 2.0, "jump_truncation": 1e-3, "r": 2.0,
+             "t_max": 7.0}[key]
+    (cfg if block == "config" else cfg.setdefault(block, {}))[key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out.json"
@@ -298,6 +302,7 @@ def test_cli_unsimulable_problem_names_its_field_exit_2(tmp_path, capsys,
     ("b", [float("inf")], "coefficients.b[0]: expected a finite number"),
     ("a", [[True]], "coefficients.a[0][0]: expected a finite number"),
     ("a", [["0.1"]], "coefficients.a[0][0]: expected a number"),
+    ("a", [["x"]], "coefficients.a[0][0]: expected a number"),
     ("g", 10**400, "coefficients.g: expected a finite number"),
     ("h", "x + True", "coefficients.h: only numeric constants"),
     ("h", "log(x)", "coefficients: h must be finite"),
@@ -316,6 +321,62 @@ def test_cli_bool_or_non_finite_coefficient_exit_2(tmp_path, capsys, key,
     with np.errstate(all="ignore"):
         code = main(["solve-hjb", "--config", str(path), "--out", str(out)])
     assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, where, value, field", [
+    ("example_1d_control", ("h",), NAN, "h: expected a positive finite"),
+    ("example_1d_control", ("h",), True, "h: expected a positive finite"),
+    ("example_1d_control", ("eps_schedule", 2), NAN,
+     "eps_schedule: must be strictly decreasing"),
+    ("example_1d_control", ("domain", "hi", 0), "1",
+     "domain.hi[0]: expected a number"),
+    ("example_1d_control", ("domain", "lo", 0), True,
+     "domain.lo[0]: expected a finite number"),
+    ("example_1d_control", ("levy", "atoms", 0, 0), NAN,
+     "levy.atoms[0][0]: expected a finite number"),
+    ("example_1d_control", ("levy", "atoms", 0, 1), INF,
+     "levy.atoms[0][1]: expected a finite number"),
+    ("example_1d_control", ("levy", "atoms", 0, 0), True,
+     "levy.atoms[0][0]: expected a finite number"),
+    ("example_2d_ball", ("levy", "kappa"), "0.5",
+     "levy.kappa: expected a number"),
+    ("example_2d_ball", ("levy", "kappa"), INF,
+     "levy.kappa: expected a finite number"),
+    ("example_2d_ball", ("levy", "alpha"), NAN,
+     "levy.alpha: expected a finite number"),
+    ("example_2d_ball", ("levy", "lambda"), NAN,
+     "levy.lambda: expected a finite number"),
+    ("example_2d_ball", ("levy", "zmax"), INF,
+     "levy.zmax: expected a finite number"),
+    ("example_2d_ball", ("levy", "rays", 0, 1), NAN,
+     "levy.rays[0][1]: expected a finite number"),
+    ("example_2d_ball", ("domain", "radius"), True,
+     "domain.radius: expected a finite number"),
+    ("example_2d_ball", ("domain", "center", 0), NAN,
+     "domain.center[0]: expected a finite number"),
+])
+def test_cli_bad_number_outside_coefficients_exit_2(tmp_path, capsys, name,
+                                                    where, value, field):
+    # as for the coefficients: JSON's true, NaN and Infinity and numbers
+    # written as strings are not numbers of the grid, the eps schedule,
+    # the domain or the jump measure (zmax bounds the quadrature, so it
+    # must be finite too)
+    from gradcap.cli import main
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "u.csv"
+    assert main(["solve-nidd", "--config", str(path), "--eps", "0.1",
+                 "--out", str(out)]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -372,7 +433,8 @@ def test_cli_json_artifact_keys(tmp_path):
                  "--report", str(out["hjb"])]) == 0
     assert main(["residual", "--config", cfg, "--field", field,
                  "--out", str(out["residual"])]) == 0
-    assert main(["simulate", "--config", str(short_control_config(tmp_path)),
+    assert main(["simulate", "--config",
+                 str(CONFIGS / "example_1d_control.json"),
                  "--policy", "null", "--x0", "0.0", "--paths", "20",
                  "--out", str(out["simulate"])]) == 0
     keys = {name: set(json.loads(path.read_text()))
@@ -434,16 +496,8 @@ def test_cli_verify_singular_mode(tmp_path):
     assert len(payload["entries"]) == 3  # null + two directed rate controls
 
 
-def short_control_config(tmp_path):
-    cfg = json.loads((CONFIGS / "example_1d_control.json").read_text())
-    cfg["sde"]["t_max"] = 0.5
-    path = tmp_path / "ctl_short.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 def test_cli_simulate_constant_policy(tmp_path):
-    cfg = short_control_config(tmp_path)
+    cfg = CONFIGS / "example_1d_control.json"
     out = tmp_path / "cost.json"
     base = ("simulate", "--config", str(cfg), "--policy", "constant",
             "--x0", "0.0", "--paths", "20", "--rate", "0.3")
@@ -462,11 +516,11 @@ def test_cli_simulate_constant_policy(tmp_path):
     assert two_dims.returncode == 2
 
 
-def short_control_field(tmp_path):
-    """A short-horizon control config and a field CSV written for it."""
+def control_field(tmp_path):
+    """The shipped control config and a field CSV written for it."""
     from gradcap.cli import write_field_csv
     from gradcap.geometry import SolutionField
-    cfg = short_control_config(tmp_path)
+    cfg = CONFIGS / "example_1d_control.json"
     spec = load_config(cfg)
     x = spec.grid.interior_points()[:, 0]
     field = tmp_path / "u.csv"
@@ -479,7 +533,7 @@ def short_control_field(tmp_path):
 def test_cli_penalized_eps_outside_unit_interval_exit_2(tmp_path, capsys,
                                                         eps):
     from gradcap.cli import main
-    cfg, field = short_control_field(tmp_path)
+    cfg, field = control_field(tmp_path)
     out = tmp_path / "out.json"
     common = ["--config", str(cfg), "--field", str(field), "--eps", eps,
               "--x0", "0.0", "--paths", "20", "--out", str(out)]
@@ -487,12 +541,15 @@ def test_cli_penalized_eps_outside_unit_interval_exit_2(tmp_path, capsys,
                 ["verify", "--mode", "penalized"]):
         assert main(cmd + common) == 2, cmd
         assert "must lie in (0, 1)" in capsys.readouterr().err
+    assert main(["solve-nidd", "--config", str(cfg), "--eps", eps,
+                 "--out", str(out)]) == 2
+    assert "config error: eps: --eps" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
     from gradcap.cli import main
-    cfg, field = short_control_field(tmp_path)
+    cfg, field = control_field(tmp_path)
     out = tmp_path / "out.json"
     for paths in ("1", "0", "-3"):
         for cmd in (["simulate", "--policy", "null"],
@@ -537,7 +594,7 @@ def test_cli_rejects_fewer_than_two_paths(tmp_path, capsys):
 ])
 def test_cli_bad_monte_carlo_input_exit_2(tmp_path, capsys, cmd, bad):
     from gradcap.cli import main
-    cfg, field = short_control_field(tmp_path)
+    cfg, field = control_field(tmp_path)
     out = tmp_path / "out.json"
     argv = cmd + bad + ["--config", str(cfg), "--paths", "20",
                         "--out", str(out)]

@@ -38,28 +38,47 @@ def test_divergent_measure_rejected():
 
 
 def test_quadrature_atoms_pass_through():
-    cp = CompoundPoisson(atoms=(((0.5,), 2.0), ((-1.5,), 1.0)))
-    rule = build_quadrature(cp, 0.1, 1.0)
-    assert sorted(rule.nodes.ravel()) == [-1.5, 0.5]
-    assert sorted(rule.weights) == [1.0, 2.0]
-    assert rule.discarded_small_mass == 0.0
-    assert rule.tail_cutoff >= 1.5
+    # every atom the simulation samples, |z| >= delta, is a node with its
+    # mass, however long the jump; the atom below delta is dropped
+    cp = CompoundPoisson(atoms=(((0.5,), 2.0), ((-1.5,), 1.0),
+                                ((0.05,), 4.0), ((-2.5,), 0.5)))
+    rule = build_quadrature(cp, 0.1)
+    assert sorted(rule.nodes.ravel()) == [-2.5, -1.5, 0.5]
+    assert sorted(rule.weights) == [0.5, 1.0, 2.0]
+    assert rule.total_mass == cp.intensity_above(0.1) == 3.5
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-7])
+def test_bv_quadrature_mass_is_the_sampled_intensity(delta):
+    # the nodes cover [max(delta, z_min), z_max], the support sample_jumps
+    # draws from, also past |z| = 2
+    lev = bv_two_sided(z_max=3.0)
+    rule = build_quadrature(lev, delta)
+    r = np.abs(rule.nodes[:, 0])
+    assert max(delta, lev.z_min) < r.min() and 2.0 < r.max() < lev.z_max
+    # midpoint rule in log r at 16 nodes a decade: relative error about
+    # alpha^2 dt^2 / 24 = 2e-4 for dt = ln(10) / 16
+    assert rule.total_mass == pytest.approx(lev.intensity_above(delta),
+                                            rel=1e-3)
 
 
 def test_quadrature_discarded_mass_closed_form():
-    rule = build_quadrature(bv_two_sided(), 1e-4, 1.0)
-    # per ray: int_0^{1e-4} z^{-1/2} dz = 2e-2
-    assert rule.discarded_small_mass == pytest.approx(4e-2, rel=1e-12)
+    # the quadrature drops the jumps below delta; per ray their first
+    # moment is int_0^{1e-4} z^{-1/2} dz = 2e-2
+    assert build_quadrature(bv_two_sided(), 1e-4).small_jump_cutoff == 1e-4
+    assert bv_two_sided().small_first_moment(1e-4) == \
+        pytest.approx(4e-2, rel=1e-12)
 
 
 def test_invalid_cutoffs():
-    with pytest.raises(InvalidCutoffs):
-        build_quadrature(bv_two_sided(), 0.1, 0.05)
+    for delta in (0.0, -0.1, float("nan")):
+        with pytest.raises(InvalidCutoffs):
+            build_quadrature(bv_two_sided(), delta)
 
 
 def test_quadrature_consistency_compound_poisson():
     cp = CompoundPoisson(atoms=(((0.3,), 1.5), ((-0.8,), 0.7)))
-    rule = build_quadrature(cp, 0.01, 5.0)
+    rule = build_quadrature(cp, 0.01)
     f = lambda z: np.sin(3 * z) + z**2
     quad_val = float(np.sum(rule.weights * f(rule.nodes[:, 0])))
     exact = 1.5 * f(0.3) + 0.7 * f(-0.8)
@@ -68,7 +87,7 @@ def test_quadrature_consistency_compound_poisson():
 
 def test_bv_quadrature_convergence_on_abs():
     lev = bv_two_sided()
-    rule = build_quadrature(lev, 1e-4, 1.0, n_per_decade=16)
+    rule = build_quadrature(lev, 1e-4, n_per_decade=16)
     approx = float(np.sum(rule.weights * np.abs(rule.nodes[:, 0])))
     exact = 2 * 2 * (np.sqrt(1.0) - np.sqrt(1e-4))
     assert abs(approx - exact) / exact < 1e-3
@@ -128,7 +147,7 @@ def test_tempered_density_moments_finite():
                     z_max=3.0, rays=((1.0,),))
     out = moment_check(lev)
     assert out["ok"]
-    rule = build_quadrature(lev, 1e-3, 3.0)
+    rule = build_quadrature(lev, 1e-3)
     assert rule.total_mass > 0
     jumps = sample_jumps(lev, 0.01, 50.0, 3)
     assert all(0.01 <= abs(z[1][0]) <= 3.0 for z in jumps)

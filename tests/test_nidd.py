@@ -37,7 +37,7 @@ def test_linear_dirichlet_zero_rhs():
 
 def test_linear_dirichlet_constant_compatible():
     # feeding back Gamma of a constant interior field reproduces it exactly
-    quad = build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1, 2.0)
+    quad = build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1)
     prob = make_problem_1d(h_grid=0.125, c=2.0, quad=quad)
     k = 3.0
     rhs = prob.matrix().apply_gamma_vec(np.full(prob.grid.n_interior, k))
@@ -47,7 +47,7 @@ def test_linear_dirichlet_constant_compatible():
 
 def test_linear_dirichlet_residual_contract_with_jumps():
     quad = build_quadrature(
-        CompoundPoisson(atoms=(((0.3,), 1.0), ((-0.7,), 2.0))), 0.05, 2.0)
+        CompoundPoisson(atoms=(((0.3,), 1.0), ((-0.7,), 2.0))), 0.05)
     prob = make_problem_1d(h_grid=1 / 32, b=0.5, c=1.0, quad=quad)
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(prob.grid.n_interior)
@@ -275,7 +275,7 @@ def test_nidd_manufactured_solution_convergence():
 
 
 def test_nidd_report_sandwich_and_gradient():
-    quad = build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1, 2.0)
+    quad = build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1)
     prob = make_problem_1d(h_grid=1 / 64, h=4.0, g=0.8, quad=quad)
     rep = solve_nidd(prob, 0.05)
     assert rep.min_value >= -1e-8

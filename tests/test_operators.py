@@ -41,7 +41,7 @@ def test_apply_L_upwind_exact_on_linear():
 
 
 def atom_quad():
-    return build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1, 2.0)
+    return build_quadrature(CompoundPoisson(atoms=(((0.5,), 2.0),)), 0.1)
 
 
 def test_apply_I_single_atom_values():
@@ -96,7 +96,7 @@ def symbolic_gamma(x, a, b, c, atoms):
 @pytest.mark.parametrize("b", [0.0, 1.0])
 def test_manufactured_gamma_consistency_under_refinement(b):
     atoms = (((0.5,), 2.0), ((-1.5,), 1.0))
-    quad = build_quadrature(CompoundPoisson(atoms=atoms), 0.1, 2.0)
+    quad = build_quadrature(CompoundPoisson(atoms=atoms), 0.1)
     errs = []
     for h in (1 / 16, 1 / 32, 1 / 64):
         g = build_grid(Box(lo=(-1,), hi=(1,)), h)

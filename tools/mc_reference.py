@@ -17,8 +17,9 @@ the eps-0.1 field, `simulate` (null, constant and penalized policies) and
 `verify` (penalized and singular modes) JSON; and the report of a cold
 `solve-nidd` on `example_1d_tight` at eps 1e-4, where a bare Newton solve
 fails and the continuation gets through.
-The library cases print the mean, standard error and largest push rate in
-hex of 2D estimates: penalized verification with compound-Poisson jumps in
+The library cases print the node count and total mass in hex of the
+`example_2d_ball` quadrature, and the mean, standard error and largest
+push rate in hex of 2D estimates: penalized verification with compound-Poisson jumps in
 the unit ball and in a box, an impulse along (1, 1), a callable rate, a
 pooled call of four controls at two start points, and the same call with
 one base seed for all eight jobs, as `verify` seeds its entries; the
@@ -115,10 +116,20 @@ def cli_cases(out):
         yield f"{name} exit={code} {_sha(path)}"
 
 
+def _quadrature(levy, delta):
+    """`build_quadrature(levy, delta)`; a library that still takes a tail
+    cutoff R is given R = 2, above every jump of the cases here."""
+    from gradcap.levy import build_quadrature
+
+    try:
+        return build_quadrature(levy, delta)
+    except TypeError:
+        return build_quadrature(levy, delta, 2.0)
+
+
 def _problem_2d(domain):
     from gradcap.geometry import build_grid
-    from gradcap.levy import CompoundPoisson, build_quadrature, \
-        constant_density
+    from gradcap.levy import CompoundPoisson, constant_density
     from gradcap.operators import Coefficients
     from gradcap.problem import Problem
 
@@ -128,7 +139,7 @@ def _problem_2d(domain):
         Coefficients.from_constants(2, a=0.15 * np.eye(2), b=(0.1, -0.05),
                                     c=1.5, g=0.6),
         h=lambda X: 3.0 * np.exp(-6.0 * np.sum(np.atleast_2d(X)**2, axis=1)))
-    quad = build_quadrature(cp, 1e-3, 2.0)
+    quad = _quadrature(cp, 1e-3)
     return Problem(grid, co, constant_density(1.0), quad), cp
 
 
@@ -149,7 +160,12 @@ def _penalized_verify(name, prob, params, x0s):
 
 def library_cases():
     from gradcap import control as ctl
+    from gradcap.config import load_config
     from gradcap.geometry import Ball, Box
+
+    quad = load_config(CONFIGS / "example_2d_ball.json").quad
+    yield (f"quadrature 2d ball nodes={len(quad.weights)} "
+           f"total_mass={quad.total_mass.hex()}")
 
     prob, cp = _problem_2d(Ball(center=(0.0, 0.0), radius=1.0))
     params = ctl.sde_from_problem(prob, 1.5, t_max=4.0, levy=cp)
@@ -193,7 +209,6 @@ def library_cases():
         yield f"2d shared-seed pooled job {i} {_hex(est)}"
 
     # 9000 seed groups, each of three paths, on example_1d_control
-    from gradcap.config import load_config
     from gradcap.nidd import solve_nidd
 
     prob = load_config(CONFIGS / "example_1d_control.json").problem
