@@ -25,10 +25,6 @@ from .nidd import solve_nidd
 from .operators import interior_gradient
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def write_field_csv(path, spec, fld, residual_per_node=None):
     grid = spec.grid
     pts = grid.interior_points()
@@ -40,12 +36,10 @@ def write_field_csv(path, spec, fld, residual_per_node=None):
     coords = ["x"] if grid.dim == 1 else ["x", "y"]
     lines = [f"# config_hash={spec.config_hash}",
              "node_index," + ",".join(coords) + ",u,grad_norm,residual"]
-    for row, flat in enumerate(grid.interior_flat):
-        cols = [str(int(flat))]
-        cols += [_fmt(c) for c in pts[row]]
-        cols += [_fmt(u[row]), _fmt(grad_norm[row]),
-                 _fmt(residual_per_node[row])]
-        lines.append(",".join(cols))
+    row_fmt = "%d" + ",%.17g" * (grid.dim + 3)
+    table = np.column_stack([pts, u, grad_norm, residual_per_node])
+    lines += [row_fmt % (flat, *row) for flat, row
+              in zip(grid.interior_flat.tolist(), table.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -229,8 +229,9 @@ def _parse_jump_density(d, dim):
     kind = d["type"]
     if kind == "constant":
         _expect_keys(d, "jump_density", ("type", "value"))
+        value = _finite(d["value"], "jump_density.value")
         try:
-            return constant_density(d["value"])
+            return constant_density(value)
         except ValueError as exc:
             raise ValidationError("jump_density.value", str(exc)) from exc
     if kind == "expr":
@@ -403,11 +404,14 @@ def build_spec(raw):
     _check_settings(raw.get("solver", {}), sde)
     normalized = _normalize(raw)
 
-    qd = normalized["quadrature"]
+    qd = {key: _finite(value, f"quadrature.{key}")
+          for key, value in normalized["quadrature"].items()}
     try:
         quad = build_quadrature(levy, qd["delta"], qd["n_per_decade"])
-    except (InvalidCutoffs, ValueError, TypeError) as exc:
-        raise ValidationError("quadrature", str(exc)) from exc
+    except InvalidCutoffs as exc:
+        raise ValidationError("quadrature.delta", str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationError("quadrature.n_per_decade", str(exc)) from exc
 
     # the operator reads s at every interior point and quadrature node
     probes = quad.nodes if quad.nodes.size else \
@@ -420,7 +424,8 @@ def build_spec(raw):
                                   "s(x, z) must take values in [0, 1]")
 
     try:
-        arr = check_eps_schedule(normalized["eps_schedule"])
+        arr = check_eps_schedule(_finite_list(normalized["eps_schedule"],
+                                              "eps_schedule"))
     except ValueError as exc:
         raise ValidationError("eps_schedule", str(exc)) from exc
 

@@ -10,13 +10,15 @@ cheap LU.  GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b
 solves it; with J = 0 the first preconditioner solve is already exact.
 The linear problem and most Newton steps reuse one cached LU, that of the
 local M-matrix plus the jump mass, with J the jump gather less the
-penalty's gradient terms on the few rows where the penalty is active.  A
-Newton step with more active rows factors P = local + jump mass +
-gradient terms and keeps J the jump gather.  GMRES solves to a relative
-1e-13, except on a Newton step that reuses the cached LU: that step is
-inexact, solved to the forcing tolerance _FORCING.  The runtime
-diagnostics check the a priori sandwich 0 <= u <= C1 and record the
-gradient sup.
+penalty's gradient terms, built on the few rows where the penalty is
+active.  A Newton step with more active rows factors P = local + jump
+mass + gradient terms, filled into a sparsity pattern the operator caches
+at the first such step, and keeps J the jump gather.  Each iterate's
+gradient is computed once, by the residual that accepted it.  GMRES
+solves to a relative 1e-13, except on a Newton step that reuses the
+cached LU: that step is inexact, solved to the forcing tolerance
+_FORCING.  The runtime diagnostics check the a priori sandwich
+0 <= u <= C1 and record the gradient sup.
 """
 
 from __future__ import annotations
@@ -162,42 +164,78 @@ def _gradient_sq(problem, u_int):
 
 
 def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
-    grad_sq, _ = _gradient_sq(problem, u_int)
-    return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int
+    """The residual at u_int and the gradient stack it read."""
+    grad_sq, grads = _gradient_sq(problem, u_int)
+    return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int, grads
 
 
-def _newton_direction(problem, pf, g_int, w, res_vec, forcing):
-    """Solve jacobian delta = -res_vec at the iterate w.
+def _active_terms(grad_ops, scales, rows):
+    """T = sum_k diag(scales[:, k]) G_k, built on `rows` only: every other
+    row of T is empty.
 
-    The Jacobian is gamma + sum_k diag(2 psi' D_k w) G_k, and the gradient
-    terms vanish off the penalty's active set.  With at most _LOW_RANK_ROWS
-    active rows, the step reuses the cached LU of the local M-matrix plus
-    the jump mass and applies the gradient terms T next to the gather: it
-    splits as local - (J - T), J the jump gather, and GMRES stops at the
-    relative tolerance `forcing`.  A low-rank solve whose GMRES misses it
-    falls back to the factored split below; with no active row the two
-    splits are the same.  Otherwise P = local + the gradient terms is
+    Within a row, the entries come in the order the sparse sum of the
+    full products leaves them (the columns only the second axis holds, in
+    its order, then the first axis's, a column both hold summed), so on a
+    row of three or more entries, where the order sets the rounding,
+    T @ v is that sum's bit for bit.  The G_k are canonical CSR, as
+    build_gradient_ops makes them; at most two axes.
+    """
+    n = scales.shape[0]
+    keys, vals = [], []
+    for k, G in enumerate(grad_ops):
+        lo = G.indptr[rows]
+        count = G.indptr[rows + 1] - lo
+        at = np.repeat(lo - np.cumsum(count) + count, count) \
+            + np.arange(count.sum())
+        r = np.repeat(rows, count)
+        keys.append(r * n + G.indices[at])
+        vals.append(scales[r, k] * G.data[at])
+    if len(keys) == 2:
+        shared = np.isin(keys[1], keys[0])
+        vals[0][np.searchsorted(keys[0], keys[1][shared])] += \
+            vals[1][shared]
+        keys = [keys[1][~shared], keys[0]]
+        vals = [vals[1][~shared], vals[0]]
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    row = key // n
+    order = np.argsort(row, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+    return sp.csr_matrix((val[order], key[order] % n, indptr),
+                         shape=(n, n))
+
+
+def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
+    """Solve jacobian delta = -res_vec at the iterate w whose gradient
+    stack (D_k w)_k is `grads`.
+
+    The Jacobian is gamma + sum_k diag(s_k) G_k, s_k = 2 psi' D_k w, and
+    the gradient terms vanish off the penalty's active set.  With at most
+    _LOW_RANK_ROWS active rows, the step reuses the cached LU of the local
+    M-matrix plus the jump mass and applies the gradient terms T, built on
+    the active rows only, next to the gather: it splits as local - (J - T),
+    J the jump gather, and GMRES stops at the relative tolerance
+    `forcing`.  A low-rank solve whose GMRES misses it falls back to the
+    factored split below; with no active row the two splits are the same
+    and no T is built.  Otherwise P = local + the gradient terms, filled
+    into the sparsity pattern OperatorMatrix.jacobian caches, is
     factorized, the split is P - J, and GMRES solves it to _GMRES_RTOL
     whatever `forcing` is.
     Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
     J = mat.jump_gather
-    grad_sq, grads = _gradient_sq(problem, w)
-    slope = 2.0 * pf.psi_prime(grad_sq - g_int**2)
-    terms = [sp.diags(slope * grads[:, k]) @ G
-             for k, G in enumerate(problem.grad_ops())]
-    active = np.count_nonzero(slope)
-    if active <= _LOW_RANK_ROWS:
-        T = sum(terms) if active else None
+    slope = 2.0 * pf.psi_prime(np.sum(grads * grads, axis=1) - g_int**2)
+    scales = slope[:, None] * grads
+    active = np.flatnonzero(slope)
+    if active.size <= _LOW_RANK_ROWS:
+        T = _active_terms(problem.grad_ops(), scales, active) \
+            if active.size else None
         delta, converged = _solve_split(mat.local_solver(), J, -res_vec, T,
                                         forcing)
-        if converged or not active:
+        if converged or not active.size:
             return delta
-    P = mat.local_matrix()
-    for term in terms:
-        P = P + term
-    return _solve_split(spla.splu(P.tocsc()), J, -res_vec)[0]
+    P = mat.jacobian(problem.grad_ops(), scales)
+    return _solve_split(spla.splu(P), J, -res_vec)[0]
 
 
 _STOP_MESSAGES = {
@@ -267,7 +305,7 @@ def _newton(problem, eps, u, opts):
 
     bound_c1 = problem.bound_c1()
 
-    res_vec = _residual_vec(problem, gamma, pf, u, h_int, g_int)
+    res_vec, grads = _residual_vec(problem, gamma, pf, u, h_int, g_int)
     res = float(np.max(np.abs(res_vec)))
     update = np.inf
     iterations = 0
@@ -287,7 +325,7 @@ def _newton(problem, eps, u, opts):
         del merit_window[:-6]
         window_cap = max(merit_window)
         try:
-            delta = _newton_direction(problem, pf, g_int, u, res_vec,
+            delta = _newton_direction(problem, pf, g_int, grads, res_vec,
                                       _FORCING)
         except RuntimeError:
             stop = "singular_split"
@@ -295,16 +333,17 @@ def _newton(problem, eps, u, opts):
         step = None
         for alpha in (1.0, 0.5, 0.25, 0.125):
             u_try = u + alpha * delta
-            res_try = _residual_vec(problem, gamma, pf, u_try, h_int, g_int)
+            res_try, grads_try = _residual_vec(problem, gamma, pf, u_try,
+                                               h_int, g_int)
             merit = float(np.linalg.norm(res_try))
             if merit < window_cap or np.max(np.abs(res_try)) <= tol_res:
-                step = u_try, res_try
+                step = u_try, res_try, grads_try
                 break
         if step is None:
             stop = "line_search_failed"
             break
         update = float(np.max(np.abs(step[0] - u)))
-        u, res_vec = step
+        u, res_vec, grads = step
         res = float(np.max(np.abs(res_vec)))
         if res < best_res:
             best_res = res
@@ -358,8 +397,8 @@ def comparison_check(problem, eps, phi, eta):
 
     phi_v = phi.interior_vector()
     eta_v = eta.interior_vector()
-    r_phi = _residual_vec(problem, gamma, pf, phi_v, h_int, g_int)
-    r_eta = _residual_vec(problem, gamma, pf, eta_v, h_int, g_int)
+    r_phi = _residual_vec(problem, gamma, pf, phi_v, h_int, g_int)[0]
+    r_eta = _residual_vec(problem, gamma, pf, eta_v, h_int, g_int)[0]
     bad_super = np.flatnonzero(r_phi > tol)
     if bad_super.size:
         raise NotApplicable(

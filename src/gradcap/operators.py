@@ -310,6 +310,26 @@ class OperatorMatrix:
             self._cache["local_lu"] = spla.splu(self.local_matrix().tocsc())
         return self._cache["local_lu"]
 
+    def jacobian(self, grad_ops, scales):
+        """local_matrix() + sum_k diag(scales[:, k]) grad_ops[k], in CSC.
+
+        The Newton matrix of nidd's factored split.  Its pattern is the
+        same at every `scales`, so the first call caches it (`grad_ops`
+        must be the same operators at every call) and each call fills a
+        copy of it: the axis-k products are added in axis order, as the
+        sparse sum adds them, and the exact zeros that sum would drop are
+        dropped, since SuperLU's column ordering reads the pattern.
+        """
+        if "jacobian" not in self._cache:
+            self._cache["jacobian"] = _jacobian_pattern(self.local_matrix(),
+                                                        grad_ops)
+        pattern, axes = self._cache["jacobian"]
+        P = pattern.copy()
+        for k, (pos, rows, vals) in enumerate(axes):
+            P.data[pos] += scales[rows, k] * vals
+        P.eliminate_zeros()
+        return P
+
     def gamma_solver(self):
         """Cached factorization of the full assembled operator."""
         import scipy.sparse.linalg as spla
@@ -329,6 +349,24 @@ class OperatorMatrix:
         denom = denom - np.asarray(np.abs(off).sum(axis=1)).ravel()
         return float(np.max(row_gather / np.maximum(denom, 1e-300),
                             initial=0.0))
+
+
+def _jacobian_pattern(local, grad_ops):
+    """The CSC union pattern of `local` and every G_k, holding local's
+    data, and per axis where G_k's entries fall in it, their rows and
+    their values."""
+    n = local.shape[0]
+    parts = [A.tocoo() for A in (local, *grad_ops)]
+    keys = [A.col.astype(np.int64) * n + A.row for A in parts]
+    union = np.unique(np.concatenate(keys))
+    cols = union // n
+    data = np.zeros(union.size)
+    pos = [np.searchsorted(union, key) for key in keys]
+    data[pos[0]] = parts[0].data
+    pattern = sp.csc_matrix(
+        (data, union - cols * n, np.searchsorted(cols, np.arange(n + 1))),
+        shape=local.shape)
+    return pattern, [(p, A.row, A.data) for p, A in zip(pos[1:], parts[1:])]
 
 
 def assemble_linear_system(coeffs, s, quad, grid):

@@ -195,9 +195,12 @@ def test_cli_validation_error_exit_2(tmp_path):
 @pytest.mark.parametrize("name", ["example_1d_tight", "example_1d_control"])
 @pytest.mark.parametrize("quad", [{"delta": 0.0},
                                   {"delta": float("nan")},
-                                  {"n_per_decade": 3}])
+                                  {"n_per_decade": 3},
+                                  {"delta": True},
+                                  {"n_per_decade": float("inf")}])
 def test_cli_bad_quadrature_exit_2(tmp_path, capsys, name, quad):
-    # example_1d_tight has no levy block, example_1d_control has one
+    # example_1d_tight has no levy block, example_1d_control has one; the
+    # error names the one bad key (true is no delta of 1, Infinity no count)
     from gradcap.cli import main
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg["quadrature"] = quad
@@ -205,7 +208,8 @@ def test_cli_bad_quadrature_exit_2(tmp_path, capsys, name, quad):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "u.csv"
     assert main(["solve-hjb", "--config", str(path), "--out", str(out)]) == 2
-    assert "config error: quadrature:" in capsys.readouterr().err
+    (key,) = quad
+    assert f"config error: quadrature.{key}:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -332,7 +336,7 @@ NAN, INF = float("nan"), float("inf")
     ("example_1d_control", ("h",), NAN, "h: expected a positive finite"),
     ("example_1d_control", ("h",), True, "h: expected a positive finite"),
     ("example_1d_control", ("eps_schedule", 2), NAN,
-     "eps_schedule: must be strictly decreasing"),
+     "eps_schedule[2]: expected a finite number"),
     ("example_1d_control", ("domain", "hi", 0), "1",
      "domain.hi[0]: expected a number"),
     ("example_1d_control", ("domain", "lo", 0), True,
@@ -359,13 +363,17 @@ NAN, INF = float("nan"), float("inf")
      "domain.radius: expected a finite number"),
     ("example_2d_ball", ("domain", "center", 0), NAN,
      "domain.center[0]: expected a finite number"),
+    ("example_1d_control", ("eps_schedule", 0), "0.5",
+     "eps_schedule[0]: expected a number"),
+    ("example_1d_control", ("jump_density", "value"), True,
+     "jump_density.value: expected a finite number"),
 ])
 def test_cli_bad_number_outside_coefficients_exit_2(tmp_path, capsys, name,
                                                     where, value, field):
     # as for the coefficients: JSON's true, NaN and Infinity and numbers
     # written as strings are not numbers of the grid, the eps schedule,
-    # the domain or the jump measure (zmax bounds the quadrature, so it
-    # must be finite too)
+    # the domain, the jump measure (zmax bounds the quadrature, so it must
+    # be finite too) or the jump density
     from gradcap.cli import main
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     node = cfg
@@ -465,6 +473,34 @@ def test_csv_float_precision_lossless(tmp_path):
     from gradcap.nidd import solve_nidd
     rep = solve_nidd(spec.problem, 0.1, spec.solver_options)
     assert np.array_equal(fld.values, rep.solution.values)
+
+
+def test_csv_rows_match_the_per_cell_format(tmp_path):
+    # a row is written as one "%d" + ",%.17g" * k string; its bytes are
+    # those of formatting each cell by itself, signed zeros, subnormals and
+    # exponents included
+    from gradcap.cli import write_field_csv
+    from gradcap.geometry import SolutionField
+    from gradcap.operators import interior_gradient
+    spec = load_config(CONFIGS / "example_2d_ball.json")
+    n = spec.grid.n_interior
+    cells = [-0.0, 0.0, 5e-324, -2.5e-17, 1.5e22, 1 / 3, -7.0, 0.1, 1e-300]
+    u = np.resize(cells, n)
+    residual = np.resize(cells[::-1], n)
+    path = tmp_path / "u.csv"
+    write_field_csv(path, spec, SolutionField.from_interior_vector(
+        spec.grid, u), residual)
+    grad_norm = np.linalg.norm(interior_gradient(
+        spec.grid, spec.problem.grad_ops(), u), axis=1)
+    rows = [",".join([str(int(flat))] + [f"{float(c):.17g}" for c in
+                                         (*pts, u[i], grad_norm[i],
+                                          residual[i])])
+            for i, (flat, pts) in enumerate(zip(spec.grid.interior_flat,
+                                                spec.grid.interior_points()))]
+    lines = path.read_text().splitlines()
+    assert lines[2:] == rows
+    assert {"-0", "4.9406564584124654e-324", "1.5e+22"} <= \
+        set(",".join(rows).split(","))
 
 
 def test_dump_matrix_flag(tmp_path):

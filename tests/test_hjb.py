@@ -56,7 +56,8 @@ def test_one_linear_solve_per_problem(monkeypatch):
 
 def test_unconstrained_continuation_factorizes_once(monkeypatch):
     # the penalty stays inactive, so every Newton step reuses the cached
-    # LU of the local matrix that the linear solve for C1 factorized
+    # LU of the local matrix that the linear solve for C1 factorized, and
+    # no Newton matrix pattern is built
     import scipy.sparse.linalg as spla
     calls = []
     splu = spla.splu
@@ -70,6 +71,7 @@ def test_unconstrained_continuation_factorizes_once(monkeypatch):
     rep = solve_hjb(spec.problem, spec.eps_schedule)
     assert sum(r.iterations for r in rep.nidd_reports) > 0
     assert len(calls) == 1
+    assert "jacobian" not in spec.problem.matrix()._cache
 
 
 def test_residual_of_zero_field():

@@ -6,6 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import CONFIGS, empty_quadrature, make_problem_1d
+import gradcap.nidd as nidd
+import gradcap.operators as operators
 from gradcap.config import build_spec, load_config
 from gradcap.errors import (MaxIterationsExceeded, NotApplicable,
                             SingularSystem)
@@ -70,6 +72,10 @@ def test_linear_dirichlet_matches_direct_solve(name):
     assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def _grads(prob, w):
+    return interior_gradient(prob.grid, prob.grad_ops(), w)
+
+
 def _newton_system(prob, pf, w):
     """The residual at w and the assembled Jacobian, with the count of
     rows where the penalty is active."""
@@ -96,7 +102,8 @@ def test_newton_direction_matches_assembled_jacobian():
     # whatever the forcing
     assert active > _LOW_RANK_ROWS
     ref = spla.spsolve(jac.tocsc(), -res)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res, _FORCING)
+    delta = _newton_direction(prob, pf, prob.g_interior(), _grads(prob, w),
+                              res, _FORCING)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -128,8 +135,8 @@ def test_low_rank_newton_direction_matches_assembled_jacobian(
     assert 0 < active <= _LOW_RANK_ROWS
     ref = spla.spsolve(jac.tocsc(), -res)
     _forbid_factorization(monkeypatch, prob)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
-                              _GMRES_RTOL)
+    delta = _newton_direction(prob, pf, prob.g_interior(), _grads(prob, w),
+                              res, _GMRES_RTOL)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -155,8 +162,8 @@ def test_unconverged_low_rank_step_factorizes_the_jacobian(monkeypatch,
 
     monkeypatch.setattr(spla, "gmres", unconverged)
     monkeypatch.setattr(spla, "splu", counting)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
-                              _GMRES_RTOL)
+    delta = _newton_direction(prob, pf, prob.g_interior(), _grads(prob, w),
+                              res, _GMRES_RTOL)
     assert len(factored) == 1
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -184,8 +191,8 @@ def test_cached_split_newton_step_stops_at_the_forcing(monkeypatch,
     counts, deltas = [], []
     for rtol in (_GMRES_RTOL, _FORCING):
         solves.clear()
-        deltas.append(_newton_direction(prob, pf, prob.g_interior(), w, res,
-                                        rtol))
+        deltas.append(_newton_direction(prob, pf, prob.g_interior(),
+                                        _grads(prob, w), res, rtol))
         counts.append(len(solves))
     inexact = np.linalg.norm(lu.solve(res + jac @ deltas[1]))
     assert inexact <= _FORCING * np.linalg.norm(lu.solve(res))
@@ -202,9 +209,101 @@ def test_inactive_penalty_newton_direction_factorizes_nothing(monkeypatch):
     assert active == 0
     ref = spla.spsolve(jac.tocsc(), -res)
     _forbid_factorization(monkeypatch, prob)
-    delta = _newton_direction(prob, pf, prob.g_interior(), w, res,
-                              _GMRES_RTOL)
+
+    def build(*args):
+        raise AssertionError("the Newton step built gradient terms")
+
+    monkeypatch.setattr(nidd, "_active_terms", build)
+    delta = _newton_direction(prob, pf, prob.g_interior(), _grads(prob, w),
+                              res, _GMRES_RTOL)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _scales(prob, pf, w):
+    """s_k = 2 psi' D_k w, stacked by axis, and the active rows."""
+    grads = _grads(prob, w)
+    arg = np.sum(grads**2, axis=1) - prob.g_interior()**2
+    slope = 2.0 * pf.psi_prime(arg)
+    return slope[:, None] * grads, np.flatnonzero(slope)
+
+
+def _assert_pattern_fill_is_the_sparse_sum(prob, w, eps):
+    # the factored Newton matrix, filled into the cached pattern, is the
+    # matrix that local + sum_k diag(s_k) G_k builds, down to its pattern
+    # (SuperLU's ordering reads it), so the LU and the step are unchanged
+    mat = prob.matrix()
+    scales, active = _scales(prob, PenaltyFn(eps), w)
+    assert _LOW_RANK_ROWS < active.size < w.size
+    ref = mat.local_matrix()
+    for k, G in enumerate(prob.grad_ops()):
+        ref = ref + sp.diags(scales[:, k]) @ G
+    ref = ref.tocsc()
+    P = mat.jacobian(prob.grad_ops(), scales)
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(P, attr).tobytes() == getattr(ref, attr).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.01])
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CONFIGS.glob("example_*.json")))
+def test_pattern_filled_jacobian_is_the_sparse_sum_byte_for_byte(name, eps):
+    # the linear solution with a 10 % ripple: the penalty is active on some
+    # rows of every config and inactive on others
+    prob = load_config(CONFIGS / name).problem
+    w = solve_linear_dirichlet(prob.matrix(), prob.h_interior())
+    w = w.interior_vector()
+    w *= 1.0 + 0.1 * np.random.default_rng(1).standard_normal(w.size)
+    _assert_pattern_fill_is_the_sparse_sum(prob, w, eps)
+
+
+def test_pattern_fill_drops_the_zeros_the_sparse_sum_drops():
+    # with |a12| = a11 the local stencil has no x-neighbours, so on the
+    # inactive rows the gradient terms leave zeros in the pattern
+    grid = build_grid(Box(lo=(-1, -1), hi=(1, 1)), 1 / 8)
+    coeffs = Coefficients.from_constants(2, a=[[1.0, 1.0], [1.0, 2.0]],
+                                         h=2.0, g=0.5)
+    prob = Problem(grid, coeffs, constant_density(1.0), empty_quadrature(2))
+    w = solve_linear_dirichlet(prob.matrix(), prob.h_interior())
+    w = w.interior_vector()
+    _assert_pattern_fill_is_the_sparse_sum(prob, w, 0.1)
+    mat = prob.matrix()
+    assert mat.jacobian(prob.grad_ops(), np.zeros((w.size, 2))).nnz \
+        == mat.local_matrix().nnz < mat._cache["jacobian"][0].nnz
+
+
+@pytest.mark.parametrize("eps", [1e-4, 5e-5])
+def test_active_row_terms_apply_as_the_full_sum_bit_for_bit(ball_at_1e4,
+                                                            eps):
+    # T is built on the active rows only; its rows of four entries keep the
+    # order of the full sparse sum, so T @ v rounds as that sum's does
+    prob, w = ball_at_1e4
+    scales, active = _scales(prob, PenaltyFn(eps), w)
+    assert 0 < active.size <= _LOW_RANK_ROWS
+    ref = sum(sp.diags(scales[:, k]) @ G
+              for k, G in enumerate(prob.grad_ops()))
+    T = nidd._active_terms(prob.grad_ops(), scales, active)
+    assert np.array_equal(np.flatnonzero(np.diff(T.indptr)), active)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        v = rng.standard_normal(w.size)
+        assert np.array_equal(T @ v, ref @ v)
+
+
+def test_second_solve_reuses_the_jacobian_pattern(monkeypatch):
+    builds = []
+    build = operators._jacobian_pattern
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(operators, "_jacobian_pattern", counting)
+    spec = load_config(CONFIGS / "example_1d_control.json")
+    first = solve_hjb(spec.problem, spec.eps_schedule)
+    assert builds == [1]
+    second = solve_hjb(spec.problem, spec.eps_schedule)
+    assert builds == [1]
+    assert np.array_equal(first.solution.values, second.solution.values)
 
 
 def _unconstrained_fine():
