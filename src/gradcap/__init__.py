@@ -16,7 +16,7 @@ from .nidd import (NiddReport, SolverOptions, comparison_check,
 from .operators import (Coefficients, OperatorMatrix, apply_Gamma, apply_I,
                         apply_L, assemble_linear_system,
                         bracket_identity_residual, build_gradient_ops,
-                        interior_gradient)
+                        build_node_gradient_ops, interior_gradient)
 from .penalty import PenaltyFn
 from .problem import Problem
 

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import NotSimulable, PushOutsideAdmissible, StartOutsideDomain
 from .geometry import interp_weights
 from .levy import bounded_variation_error_bound, sample_jumps
+from .operators import build_node_gradient_ops
 from .penalty import PenaltyFn
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -219,13 +220,17 @@ class PenalizedFeedback:
 
     Pushes along the interpolated gradient with rate
     2 psi'(|grad u|^2 - g^2) |grad u|; zero wherever the penalty or the
-    gradient vanishes.  The gradient, the rate and its conjugate effort
-    price are tabulated at the lattice nodes once, as the columns of one
-    node table, and each step interpolates all of them from one stencil, so
-    the running cost stays consistent with the simulated push to the same
-    interpolation order as the policy itself.  The conjugate penalty at
-    this rate is attained at m = |grad u| (Fenchel-Young equality), so the
-    price column is rate |grad u| - psi(|grad u|^2 - g^2) with no search.
+    gradient vanishes.  The gradient is the scheme's own, read at every
+    lattice node by `build_node_gradient_ops`: central where both axis
+    neighbors are interior, one-sided toward the interior one where only
+    one is, zero where neither is.  The gradient, the rate and its
+    conjugate effort price are tabulated at the lattice nodes once, as the
+    columns of one node table, and each step interpolates all of them from
+    one stencil, so the running cost stays consistent with the simulated
+    push to the same interpolation order as the policy itself.  The
+    conjugate penalty at this rate is attained at m = |grad u|
+    (Fenchel-Young equality), so the price column is
+    rate |grad u| - psi(|grad u|^2 - g^2) with no search.
     """
 
     pushes = ()
@@ -234,9 +239,9 @@ class PenalizedFeedback:
         grid = fld.grid
         self.grid = grid
         pf = PenaltyFn(eps)
-        # central differences, one-sided at the lattice hull
-        grad_nodes = np.reshape(np.gradient(fld.values, grid.h),
-                                (grid.dim, -1))
+        u_int = fld.interior_vector()
+        grad_nodes = np.vstack([G @ u_int
+                                for G in build_node_gradient_ops(grid)])
         norm = np.linalg.norm(grad_nodes, axis=0)
         g_nodes = np.asarray(g_fn(grid.points()), dtype=float)
         rate_nodes = 2.0 * pf.psi_prime(norm**2 - g_nodes**2) * norm

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, MonotonicityViolation
-from .nidd import SolverOptions, _gradient_sq, solve_nidd
+from .nidd import SolverOptions, solve_nidd
+from .operators import interior_gradient
 
 DEFAULT_EPS_SCHEDULE = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 
@@ -74,8 +75,8 @@ def hjb_residual(problem, fld):
     gamma = problem.matrix().gamma_matrix()
     h_int = problem.h_interior()
     g_int = problem.g_interior()
-    grad_sq, _ = _gradient_sq(problem, u_int)
-    grad_norm = np.sqrt(grad_sq)
+    grads = interior_gradient(grid, problem.grad_ops(), u_int)
+    grad_norm = np.sqrt(np.sum(grads * grads, axis=1))
     r1 = gamma @ u_int - h_int
     r2 = grad_norm - g_int
     comp = np.minimum(-r1, -r2)
@@ -127,8 +128,9 @@ def solve_hjb(problem, eps_schedule=None, opts=None):
                       "monotonicity_violation": mono})
         reports.append(rep)
 
-        grad_sq, _ = _gradient_sq(problem, rep.solution.interior_vector())
-        if np.all(grad_sq <= g_sq):
+        grads = interior_gradient(problem.grid, problem.grad_ops(),
+                                  rep.solution.interior_vector())
+        if np.all(np.sum(grads * grads, axis=1) <= g_sq):
             break
 
     final = reports[-1].solution

@@ -158,14 +158,10 @@ def solve_linear_dirichlet(matrix, rhs):
     return SolutionField.from_interior_vector(matrix.grid, u)
 
 
-def _gradient_sq(problem, u_int):
-    grads = interior_gradient(problem.grid, problem.grad_ops(), u_int)
-    return np.sum(grads * grads, axis=1), grads
-
-
 def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     """The residual at u_int and the gradient stack it read."""
-    grad_sq, grads = _gradient_sq(problem, u_int)
+    grads = interior_gradient(problem.grid, problem.grad_ops(), u_int)
+    grad_sq = np.sum(grads * grads, axis=1)
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int, grads
 
 
@@ -352,7 +348,8 @@ def _newton(problem, eps, u, opts):
     if best_res < res:
         # non-monotone exploration can end off the best iterate seen
         u, res = best_u, best_res
-    grad_sq, _ = _gradient_sq(problem, u)
+    grads = interior_gradient(grid, problem.grad_ops(), u)
+    grad_sq = np.sum(grads * grads, axis=1)
     report = NiddReport(
         solution=SolutionField.from_interior_vector(grid, u),
         iterations=iterations,

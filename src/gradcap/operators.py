@@ -5,7 +5,9 @@ drift, and (in 2D) the 7-point cross-derivative stencil that stays monotone
 while |a12| <= min(a11, a22).  The nonlocal part evaluates the jump integral
 with quadrature nodes, multilinear interpolation at x + z, and zero extension
 outside the domain.  Interior rows of the assembled system form an M-matrix,
-which is what the comparison diagnostics in the solvers rely on.
+which is what the comparison diagnostics in the solvers rely on.  The
+discrete gradient is one rule, stated at every lattice node: the
+solver's penalty reads its interior rows, the feedback policy all of them.
 """
 
 from __future__ import annotations
@@ -98,48 +100,49 @@ def _interior_neighbors(grid):
     return info
 
 
-def build_gradient_ops(grid):
-    """Sparse interior-to-interior gradient operators, one per axis.
+def build_node_gradient_ops(grid, nodes=None):
+    """Sparse gradient operators from interior values to the lattice nodes
+    `nodes` (flat indices, default every node), one per axis: the scheme's
+    one discrete gradient.
 
-    Central differences where both axis neighbors are interior; one-sided
-    first order toward the interior side next to the boundary.  Neighbors
-    outside the interior set carry value 0 and drop out.
+    The field is read as its zero extension.  At a node, along each axis:
+    central (u+ - u-) / 2h where both axis neighbors are interior;
+    one-sided toward the interior one, (u - u-) / h or (u+ - u) / h with
+    the node's own value u, where only one is; zero where neither is.
     """
-    n_int = grid.n_interior
-    info = _interior_neighbors(grid)
+    rows_of = grid.interior_row.reshape(grid.shape)
+    if nodes is None:
+        nodes = np.arange(rows_of.size)
     h = grid.h
     ops = []
-    rows_idx = np.arange(n_int)
-    for plus, minus, plus_in, minus_in in info:
-        rows, cols, vals = [], [], []
-        central = plus_in & minus_in
-        back = ~plus_in & minus_in
-        fwd = plus_in & ~minus_in
-        # central: (u+ - u-) / 2h
-        r = rows_idx[central]
-        rows += [r, r]
-        cols += [grid.interior_row[plus[central]],
-                 grid.interior_row[minus[central]]]
-        vals += [np.full(r.size, 1.0 / (2 * h)),
-                 np.full(r.size, -1.0 / (2 * h))]
-        # backward: (u - u-) / h
-        r = rows_idx[back]
-        rows += [r, r]
-        cols += [r, grid.interior_row[minus[back]]]
-        vals += [np.full(r.size, 1.0 / h), np.full(r.size, -1.0 / h)]
-        # forward: (u+ - u) / h
-        r = rows_idx[fwd]
-        rows += [r, r]
-        cols += [grid.interior_row[plus[fwd]], r]
-        vals += [np.full(r.size, 1.0 / h), np.full(r.size, -1.0 / h)]
-        # isolated along this axis: both pinned neighbors are 0; central
-        # difference of the zero extension gives a zero row.
-        G = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_int, n_int)).tocsr()
-        ops.append(G)
+    for k in range(grid.dim):
+        # interior rows of each node's minus neighbor, itself and its plus
+        # neighbor (-1 for none): increasing, as CSR orders a row
+        minus = np.full(grid.shape, -1)
+        plus = np.full(grid.shape, -1)
+        head = (slice(None),) * k + (slice(1, None),)
+        tail = (slice(None),) * k + (slice(None, -1),)
+        minus[head] = rows_of[tail]
+        plus[tail] = rows_of[head]
+        cols = np.column_stack([minus.ravel(), rows_of.ravel(),
+                                plus.ravel()])[nodes]
+        m_in, p_in = cols[:, 0] >= 0, cols[:, 2] >= 0
+        side = np.where(m_in & p_in, 1.0 / (2 * h), 1.0 / h)
+        # the weights of u-, u and u+; u weighs in only one-sided, and a
+        # node off the interior reads its own u as 0
+        vals = np.column_stack([-side * m_in, (m_in * 1.0 - p_in) / h,
+                                side * p_in])
+        keep = (cols >= 0) & (vals != 0.0)
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        ops.append(sp.csr_matrix((vals[keep], cols[keep], indptr),
+                                 shape=(len(nodes), grid.n_interior)))
     return ops
+
+
+def build_gradient_ops(grid):
+    """The interior rows of `build_node_gradient_ops`: interior-to-interior
+    gradient operators, one per axis."""
+    return build_node_gradient_ops(grid, grid.interior_flat)
 
 
 def interior_gradient(grid, grad_ops, u_int):

@@ -6,7 +6,7 @@ for y >= 2, and a strictly convex blend in between.  Writing the whole family
 through one profile makes psi_eps automatically non-increasing in eps at
 every r >= 0, which the eps-continuation relies on.
 
-H is one PCHIP interpolant of a fine Simpson table; psi, its derivatives and
+H is one PCHIP interpolant of a fine Simpson table; psi, its derivative and
 the conjugate all read it.  The conjugate penalty
 l_eps(g, rate) = sup_{m >= 0} {m rate - psi(m^2 - g^2)} is found by golden
 section.  Callers that know the maximizer skip the search: at the feedback
@@ -35,17 +35,6 @@ def blend(t):
     mid = (t > 0.0) & (t < 2.0)
     tm = t[mid]
     out[mid] = expit(1.0 / (2.0 - tm) - 1.0 / tm)
-    return out
-
-
-def blend_deriv(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 2.0)
-    tm = t[mid]
-    g = 1.0 / tm - 1.0 / (2.0 - tm)
-    # eta' = (1/t^2 + 1/(2-t)^2) * eta * (1 - eta), always >= 0
-    out[mid] = (1.0 / tm**2 + 1.0 / (2.0 - tm) ** 2) * expit(-g) * expit(g)
     return out
 
 
@@ -93,27 +82,16 @@ class PenaltyFn:
         return self._piecewise(r, lambda r: 1.0 / self.eps,
                                lambda y: blend(y) / self.eps)
 
-    def psi_double_prime(self, r):
-        return self._piecewise(r, lambda r: 0.0,
-                               lambda y: blend_deriv(y) / self.eps**2)
-
-    def legendre(self, g_at_x, eta_norm):
-        """sup_{m >= 0} { m * eta_norm - psi(m^2 - g^2) } by golden section.
+    def legendre_batch(self, g_arr, eta_arr):
+        """sup_{m >= 0} { m * eta - psi(m^2 - g^2) } by golden section, over
+        matching arrays of g(x) and |eta|.
 
         The objective is concave in m (psi composed with m^2 is convex), so
-        a single golden-section bracket suffices.  The bracket cap extends
-        past both the penalty activation point and the stationary point
-        eta * eps / 2 of the linear branch.
-        """
-        val = self.legendre_batch(np.array([g_at_x]), np.array([eta_norm]))
-        return float(val[0])
-
-    def legendre_batch(self, g_arr, eta_arr):
-        """Vectorized legendre over matching arrays of g(x) and |eta|.
-
-        Each element's bracket shrinks by the same iteration count, set by
-        the largest bracket of the batch, so an element's value depends
-        only on its own (g, eta) and on that count.
+        a single bracket suffices; its cap extends past both the penalty
+        activation point and the stationary point eta * eps / 2 of the
+        linear branch.  Each element's bracket shrinks by the same
+        iteration count, set by the largest bracket of the batch, so an
+        element's value depends only on its own (g, eta) and on that count.
         """
         g = np.asarray(g_arr, dtype=float)
         eta = np.asarray(eta_arr, dtype=float)

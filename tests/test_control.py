@@ -13,7 +13,8 @@ from gradcap.geometry import (Ball, Box, SolutionField, build_grid,
                               interp_weights)
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
 from gradcap.nidd import SolverOptions, solve_nidd
-from gradcap.operators import Coefficients, _vectorize_scalar
+from gradcap.operators import (Coefficients, _vectorize_scalar,
+                               build_node_gradient_ops, interior_gradient)
 from gradcap.penalty import PenaltyFn
 from gradcap.problem import Problem
 from gradcap import control as ctl
@@ -265,8 +266,9 @@ def test_penalized_policy_regions():
     policy = ctl.PenalizedFeedback(rep.solution, 0.1, prob.coeffs.g)
     grid = prob.grid
     rate, n, _ = policy.act(grid.interior_points(), 0.0, prob.coeffs.g)
-    grad = np.gradient(rep.solution.values, grid.h)
-    norm = np.abs(grad[grid.interior_flat])
+    grad = interior_gradient(grid, prob.grad_ops(),
+                             rep.solution.interior_vector())
+    norm = np.abs(grad[:, 0])
     inactive = norm**2 <= 0.25
     assert np.allclose(rate[inactive], 0.0, atol=1e-12)
     strong = norm**2 - 0.25 >= 2 * 0.1
@@ -341,6 +343,23 @@ def test_penalized_feedback_act_is_one_table_interpolation(make):
     for row, ref in zip(policy.table, vals.T):
         out = SolutionField(grid, row.reshape(grid.shape)).values_extended(pts)
         assert _bits(out) == _bits(np.where(inside, ref, 0.0))
+
+
+@pytest.mark.parametrize("make", [make_control_problem,
+                                  make_control_problem_2d])
+def test_penalized_feedback_table_reads_the_scheme_gradient(make):
+    prob = make()
+    grid = prob.grid
+    d = grid.dim
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(grid.n_interior)
+    policy = ctl.PenalizedFeedback(SolutionField.from_interior_vector(grid, u),
+                                   0.1, prob.coeffs.g)
+    node = np.vstack([G @ u for G in build_node_gradient_ops(grid)])
+    assert _bits(policy.table[:d]) == _bits(node)
+    # at interior nodes, the gradient the solver reads
+    scheme = interior_gradient(grid, prob.grad_ops(), u)
+    assert _bits(policy.table[:d, grid.interior_flat].T) == _bits(scheme)
 
 
 def _feedback_1d(prob):

@@ -1,14 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import empty_quadrature
+from conftest import CONFIGS, empty_quadrature
+from gradcap.config import load_config
 from gradcap.errors import EllipticityViolation
-from gradcap.geometry import Ball, Box, SolutionField, build_grid
+from gradcap.geometry import INTERIOR, Ball, Box, SolutionField, build_grid
 from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
 from gradcap.nidd import solve_linear_dirichlet
 from gradcap.operators import (Coefficients, apply_Gamma, apply_I, apply_L,
                                assemble_linear_system,
-                               bracket_identity_residual)
+                               bracket_identity_residual, build_gradient_ops,
+                               build_node_gradient_ops)
 from gradcap.problem import Problem
 
 S1 = constant_density(1.0)
@@ -208,3 +212,82 @@ def test_cross_derivative_consistency_2d():
     out = apply_L(co, u).interior_vector()
     # u_xx = u_yy = 0, u_xy = 1 -> -2 a12 u_xy = -1
     assert np.allclose(out, -1.0, atol=1e-12)
+
+
+# sha256 over (dtype, bytes) of indptr, indices and data, then the shape,
+# of each axis's interior gradient operator on the shipped configs, as the
+# interior-only builder made them before the node rule replaced it: every
+# solved field reads these operators, so none may move
+GRADIENT_OPS_SHA256 = {
+    "example_1d_control":
+        "18de160e0a35171c21f9d6ba08a1329f46339e9c80de3bfb3b3f4f381a1bdd5e",
+    "example_1d_jumps":
+        "9cd1881124a5d52aad910ea4dda65e6384a6a6d9fc25dc4a8d579d472c242ccc",
+    "example_1d_tight":
+        "13d89f6f080e72a0c4582ddf989c34487e8851bc96222b05b3afb37c806670cf",
+    "example_1d_unconstrained":
+        "18de160e0a35171c21f9d6ba08a1329f46339e9c80de3bfb3b3f4f381a1bdd5e",
+    "example_2d_ball":
+        "d471b7a367038d8314caaf548e8a1caaa74ed444af744d2d55ca669f858e6f72",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_OPS_SHA256))
+def test_gradient_ops_are_pinned_byte_for_byte(name):
+    ops = build_gradient_ops(load_config(CONFIGS / f"{name}.json").grid)
+    digest = hashlib.sha256()
+    for G in ops:
+        for a in (G.indptr, G.indices, G.data):
+            digest.update(str(a.dtype).encode())
+            digest.update(a.tobytes())
+        digest.update(str(G.shape).encode())
+    assert digest.hexdigest() == GRADIENT_OPS_SHA256[name]
+
+
+def _shift_gradient(grid, values):
+    """Per axis, the gradient at every lattice node by array shifts of the
+    zero-extended values, and the node's case along that axis: 2 central
+    (both neighbors interior), 1 one-sided (one is), 0 zero (neither)."""
+    interior = np.pad(grid.classes == INTERIOR, 1)
+    v = np.where(interior, np.pad(values, 1), 0.0)
+    core = (slice(1, -1),) * grid.dim
+    h = grid.h
+    out = []
+    for k in range(grid.dim):
+        def at(a, step):
+            idx = list(core)
+            idx[k] = slice(1 + step, a.shape[k] - 1 + step)
+            return a[tuple(idx)]
+        vp, vm, v0 = at(v, 1), at(v, -1), at(v, 0)
+        ip, im = at(interior, 1), at(interior, -1)
+        d = np.select([ip & im, im, ip],
+                      [(vp - vm) / (2 * h), (v0 - vm) / h, (vp - v0) / h],
+                      0.0)
+        out.append((d.ravel(), (ip.astype(int) + im).ravel()))
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    grid1d(),
+    load_config(CONFIGS / "example_2d_ball.json").grid,
+    build_grid(Box(lo=(-1.0, -0.75), hi=(0.75, 1.0)), 1 / 8),
+], ids=["box1d", "ball", "box2d"])
+def test_node_gradient_rows_are_the_zero_extended_shift_rule(grid):
+    u = np.random.default_rng(11).standard_normal(grid.n_interior)
+    values = SolutionField.from_interior_vector(grid, u).values
+    outside = grid.classes.ravel() != INTERIOR
+    node_ops = build_node_gradient_ops(grid)
+    cases = []
+    for G, (ref, case) in zip(node_ops, _shift_gradient(grid, values)):
+        assert G.shape == (grid.classes.size, grid.n_interior)
+        assert np.array_equal(G @ u, ref)
+        cases.append(case[outside])
+    # on a convex domain no exterior node has two interior neighbors on one
+    # axis; the 1D box has no zero row, the 2D lattices have both kinds
+    cases = np.concatenate(cases)
+    assert not np.any(cases == 2)
+    assert np.any(cases == 1)
+    assert np.any(cases == 0) == (grid.dim == 2)
+    # the interior rows are the solver's operators
+    for G, G_int in zip(node_ops, build_gradient_ops(grid)):
+        assert (G[grid.interior_flat] != G_int).nnz == 0

@@ -18,8 +18,10 @@ the eps-0.1 field, `simulate` (null, constant and penalized policies) and
 `solve-nidd` on `example_1d_tight` at eps 1e-4, where a bare Newton solve
 fails and the continuation gets through.
 The library cases print the node count and total mass in hex of the
-`example_2d_ball` quadrature, and the mean, standard error and largest
-push rate in hex of 2D estimates: penalized verification with compound-Poisson jumps in
+`example_2d_ball` quadrature; the sha256 of the `PenalizedFeedback` node
+table of every shipped config at eps 0.1, so that a change to the policy
+shows even where no sampled path reads the moved column; and the mean,
+standard error and largest push rate in hex of 2D estimates: penalized verification with compound-Poisson jumps in
 the unit ball and in a box, an impulse along (1, 1), a callable rate, a
 pooled call of four controls at two start points, and the same call with
 one base seed for all eight jobs, as `verify` seeds its entries; the
@@ -27,7 +29,7 @@ exit flag, exit time (the horizon if the path did not exit) and cost of
 one path under the impulse control; and a 1D singular `verify` of three
 controls x 9000 paths, more seed groups than a normals buffer of 2^21
 holds at full width.
-Every control direction is a unit vector.  The whole run takes about 30 s
+Every control direction is a unit vector.  The whole run takes about 10 s
 on two cores.
 """
 
@@ -162,10 +164,18 @@ def library_cases():
     from gradcap import control as ctl
     from gradcap.config import load_config
     from gradcap.geometry import Ball, Box
+    from gradcap.nidd import solve_nidd
 
     quad = load_config(CONFIGS / "example_2d_ball.json").quad
     yield (f"quadrature 2d ball nodes={len(quad.weights)} "
            f"total_mass={quad.total_mass.hex()}")
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        prob = load_config(cfg).problem
+        policy = ctl.PenalizedFeedback(solve_nidd(prob, 0.1).solution, 0.1,
+                                       prob.coeffs.g)
+        table = np.ascontiguousarray(policy.table).tobytes()
+        yield (f"feedback table {cfg.stem} eps=0.1 "
+               f"{hashlib.sha256(table).hexdigest()}")
 
     prob, cp = _problem_2d(Ball(center=(0.0, 0.0), radius=1.0))
     params = ctl.sde_from_problem(prob, 1.5, t_max=4.0, levy=cp)
@@ -209,8 +219,6 @@ def library_cases():
         yield f"2d shared-seed pooled job {i} {_hex(est)}"
 
     # 9000 seed groups, each of three paths, on example_1d_control
-    from gradcap.nidd import solve_nidd
-
     prob = load_config(CONFIGS / "example_1d_control.json").problem
     fld = solve_nidd(prob, 0.1).solution
     singular = [ctl.SingularControlSpec(n=(1.0,), rate=0.0),
