@@ -176,8 +176,6 @@ def _parse_domain(d):
 
 
 def _parse_levy(d, dim):
-    if d is None:
-        return None
     _expect_keys(d, "levy", ("type",),
                  ("atoms", "kappa", "alpha", "lambda", "delta", "zmax",
                   "rays"))
@@ -223,8 +221,6 @@ def _parse_levy(d, dim):
 
 
 def _parse_jump_density(d, dim):
-    if d is None:
-        return constant_density(1.0)
     _expect_keys(d, "jump_density", ("type",), ("value", "body"))
     kind = d["type"]
     if kind == "constant":
@@ -393,9 +389,6 @@ def build_spec(raw):
     except ValueError as exc:
         raise ValidationError("coefficients", str(exc)) from exc
 
-    levy = _parse_levy(raw.get("levy"), dim)
-    s = _parse_jump_density(raw.get("jump_density"), dim)
-
     _expect_keys(raw.get("quadrature", {}), "quadrature", (),
                  ("delta", "n_per_decade"))
     _expect_keys(raw.get("solver", {}), "solver", (), ("max_iter",))
@@ -403,6 +396,8 @@ def build_spec(raw):
     _expect_keys(sde, "sde", (), ("dt",))
     _check_settings(raw.get("solver", {}), sde)
     normalized = _normalize(raw)
+    levy = _parse_levy(normalized["levy"], dim)
+    s = _parse_jump_density(normalized["jump_density"], dim)
 
     qd = {key: _finite(value, f"quadrature.{key}")
           for key, value in normalized["quadrature"].items()}

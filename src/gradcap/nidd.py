@@ -10,8 +10,10 @@ cheap LU.  GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b
 solves it; with J = 0 the first preconditioner solve is already exact.
 The linear problem and most Newton steps reuse one cached LU, that of the
 local M-matrix plus the jump mass, with J the jump gather less the
-penalty's gradient terms, built on the few rows where the penalty is
-active.  A Newton step with more active rows factors P = local + jump
+penalty's gradient terms.  Those terms are never stored: GMRES applies
+them on the few rows where the penalty is active, from the gradient
+operators the residual reads (Jacobian-free Newton-Krylov, Knoll & Keyes
+2004).  A Newton step with more active rows factors P = local + jump
 mass + gradient terms, filled into a sparsity pattern the operator caches
 at the first such step, and keeps J the jump gather.  Each iterate's
 gradient is computed once, by the residual that accepted it.  GMRES
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (BoundViolation, GridMismatch, MaxIterationsExceeded,
@@ -97,28 +98,24 @@ def _as_interior(matrix, rhs):
     return rhs.copy()
 
 
-def _solve_split(lu, J, b, T=None, rtol=_GMRES_RTOL):
-    """Solve (P - J + T) x = b, where `lu` factorizes P and J, T are sparse.
+def _solve_split(lu, J, b, rtol=_GMRES_RTOL):
+    """Solve (P - J) x = b, where `lu` factorizes P and J is a sparse
+    matrix or a callable v -> J v.
 
-    GMRES runs on the left-preconditioned system (I - P^-1 (J - T)) x =
-    P^-1 b from x = P^-1 b, so its stopping test reads the preconditioned
-    residual, |P^-1 (b - (P - J + T) x)| <= rtol |P^-1 b|; the plain
-    residual of a stiff P sits at round-off far above 1e-13 |b|.  T, the
-    few rows of a Newton step's gradient terms, is applied as its own
-    product, so J - T is never formed.  Returns x and whether GMRES met
-    that test (always so when J is empty and T None: P^-1 b is then exact).
+    GMRES runs on the left-preconditioned system (I - P^-1 J) x = P^-1 b
+    from x = P^-1 b, so its stopping test reads the preconditioned
+    residual, |P^-1 (b - (P - J) x)| <= rtol |P^-1 b|; the plain residual
+    of a stiff P sits at round-off far above 1e-13 |b|.  Returns x and
+    whether GMRES met that test (always so when J is an empty matrix:
+    P^-1 b is then exact).
     """
     x0 = lu.solve(b)
-    if J.nnz == 0 and T is None:
+    if not callable(J) and J.nnz == 0:
         return x0, True
-
-    def matvec(v):
-        w = J @ v
-        if T is not None:
-            w -= T @ v
-        return v - lu.solve(w)
-
-    op = spla.LinearOperator(J.shape, matvec=matvec, dtype=float)
+    apply = J if callable(J) else J.__matmul__
+    op = spla.LinearOperator((b.size, b.size),
+                             matvec=lambda v: v - lu.solve(apply(v)),
+                             dtype=float)
     x, info = spla.gmres(op, x0, x0=x0, rtol=rtol, atol=0.0,
                          restart=_GMRES_RESTART, maxiter=20)
     return x, info == 0
@@ -165,41 +162,6 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int, grads
 
 
-def _active_terms(grad_ops, scales, rows):
-    """T = sum_k diag(scales[:, k]) G_k, built on `rows` only: every other
-    row of T is empty.
-
-    Within a row, the entries come in the order the sparse sum of the
-    full products leaves them (the columns only the second axis holds, in
-    its order, then the first axis's, a column both hold summed), so on a
-    row of three or more entries, where the order sets the rounding,
-    T @ v is that sum's bit for bit.  The G_k are canonical CSR, as
-    build_gradient_ops makes them; at most two axes.
-    """
-    n = scales.shape[0]
-    keys, vals = [], []
-    for k, G in enumerate(grad_ops):
-        lo = G.indptr[rows]
-        count = G.indptr[rows + 1] - lo
-        at = np.repeat(lo - np.cumsum(count) + count, count) \
-            + np.arange(count.sum())
-        r = np.repeat(rows, count)
-        keys.append(r * n + G.indices[at])
-        vals.append(scales[r, k] * G.data[at])
-    if len(keys) == 2:
-        shared = np.isin(keys[1], keys[0])
-        vals[0][np.searchsorted(keys[0], keys[1][shared])] += \
-            vals[1][shared]
-        keys = [keys[1][~shared], keys[0]]
-        vals = [vals[1][~shared], vals[0]]
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    row = key // n
-    order = np.argsort(row, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-    return sp.csr_matrix((val[order], key[order] % n, indptr),
-                         shape=(n, n))
-
-
 def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     """Solve jacobian delta = -res_vec at the iterate w whose gradient
     stack (D_k w)_k is `grads`.
@@ -207,13 +169,14 @@ def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     The Jacobian is gamma + sum_k diag(s_k) G_k, s_k = 2 psi' D_k w, and
     the gradient terms vanish off the penalty's active set.  With at most
     _LOW_RANK_ROWS active rows, the step reuses the cached LU of the local
-    M-matrix plus the jump mass and applies the gradient terms T, built on
-    the active rows only, next to the gather: it splits as local - (J - T),
-    J the jump gather, and GMRES stops at the relative tolerance
+    M-matrix plus the jump mass and splits as local - (J - T), J the jump
+    gather and T the gradient terms.  T is never stored: each GMRES matvec
+    applies it on the active rows, sum_k s_k (G_k v) with G_k sliced to
+    those rows once per step, and GMRES stops at the relative tolerance
     `forcing`.  A low-rank solve whose GMRES misses it falls back to the
     factored split below; with no active row the two splits are the same
-    and no T is built.  Otherwise P = local + the gradient terms, filled
-    into the sparsity pattern OperatorMatrix.jacobian caches, is
+    and no term is applied.  Otherwise P = local + the gradient terms,
+    filled into the sparsity pattern OperatorMatrix.jacobian caches, is
     factorized, the split is P - J, and GMRES solves it to _GMRES_RTOL
     whatever `forcing` is.
     Raises RuntimeError when the factored matrix is exactly singular.
@@ -224,9 +187,17 @@ def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     scales = slope[:, None] * grads
     active = np.flatnonzero(slope)
     if active.size <= _LOW_RANK_ROWS:
-        T = _active_terms(problem.grad_ops(), scales, active) \
-            if active.size else None
-        delta, converged = _solve_split(mat.local_solver(), J, -res_vec, T,
+        split = J
+        if active.size:
+            rows = [G[active] for G in problem.grad_ops()]
+            s = scales[active].T
+
+            def split(v):
+                w = J @ v
+                w[active] -= sum(s_k * (G @ v) for s_k, G in zip(s, rows))
+                return w
+
+        delta, converged = _solve_split(mat.local_solver(), split, -res_vec,
                                         forcing)
         if converged or not active.size:
             return delta
@@ -306,8 +277,7 @@ def _newton(problem, eps, u, opts):
     update = np.inf
     iterations = 0
     merit_window = []
-    best_res = res
-    best_u = u.copy()
+    best_res, best_u, best_grads = res, u, grads
     stop = "max_iter"
 
     while iterations < opts.max_iter:
@@ -342,13 +312,11 @@ def _newton(problem, eps, u, opts):
         u, res_vec, grads = step
         res = float(np.max(np.abs(res_vec)))
         if res < best_res:
-            best_res = res
-            best_u = u.copy()
+            best_res, best_u, best_grads = res, u, grads
 
     if best_res < res:
         # non-monotone exploration can end off the best iterate seen
-        u, res = best_u, best_res
-    grads = interior_gradient(grid, problem.grad_ops(), u)
+        u, res, grads = best_u, best_res, best_grads
     grad_sq = np.sum(grads * grads, axis=1)
     report = NiddReport(
         solution=SolutionField.from_interior_vector(grid, u),

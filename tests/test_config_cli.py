@@ -49,6 +49,16 @@ def test_settings_default_from_the_normalized_config():
         assert err.value.field_path == section
 
 
+@pytest.mark.parametrize("block", ["levy", "jump_density"])
+def test_null_block_rejected(block):
+    # null states no default, so it is rejected like a null solver, sde or
+    # quadrature block; accepted, it would move the hash of an unchanged
+    # problem
+    with pytest.raises(ValidationError, match="expected an object") as err:
+        build_spec(base_config(**{block: None}))
+    assert err.value.field_path == block
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValidationError) as err:
         build_spec(base_config(bogus=1))

@@ -11,7 +11,9 @@ from gradcap.config import build_spec
 from gradcap.errors import PushOutsideAdmissible, StartOutsideDomain
 from gradcap.geometry import (Ball, Box, SolutionField, build_grid,
                               interp_weights)
-from gradcap.levy import CompoundPoisson, build_quadrature, constant_density
+from gradcap.levy import (BVDensity, CompoundPoisson,
+                          bounded_variation_error_bound, build_quadrature,
+                          constant_density)
 from gradcap.nidd import SolverOptions, solve_nidd
 from gradcap.operators import (Coefficients, _vectorize_scalar,
                                build_node_gradient_ops, interior_gradient)
@@ -472,6 +474,31 @@ def test_shared_seed_jobs_equal_separate_estimates(monkeypatch):
     for a, b in zip(alone, pooled, strict=True):
         assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
             == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
+
+
+def test_bv_density_jobs_equal_separate_estimates(monkeypatch):
+    # a bounded-variation measure on two rays, truncated at delta = 0.01
+    # (36 jumps per unit time), normals refilled every 2 steps: the pooled
+    # estimates are the separate ones, and each carries the bias bound of
+    # the small jumps dropped
+    lev = BVDensity(kappa=1.0, alpha=0.5, lambda_temper=0.0, z_min=1e-6,
+                    z_max=1.0, rays=((1.0,), (-1.0,)))
+    par = flat_params(domain=Box(lo=(-1,), hi=(1,)), levy=lev,
+                      jump_truncation=0.01, t_max=1.0, dt=1e-2,
+                      sigma=lambda X: np.full((1, 1, 1), 0.3))
+    jobs = [(null(), np.array([0.0]), 12, 5),
+            (ctl.SingularControlSpec(n=(1.0,), rate=0.5),
+             np.array([0.4]), 12, 17)]
+    alone = [estimate(par, *job) for job in jobs]
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**6)
+    pooled = ctl.estimate_jobs(par, jobs)
+    assert alone[0].mean != alone[1].mean
+    bias = bounded_variation_error_bound(lev, 0.01, 1.0)
+    assert bias > 0
+    for a, b in zip(alone, pooled, strict=True):
+        assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
+            == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
+        assert a.discarded_bias_bound == b.discarded_bias_bound == bias
 
 
 def test_rows_leaving_two_blocks_at_one_step(monkeypatch):

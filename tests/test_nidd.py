@@ -126,10 +126,23 @@ def ball_at_1e4():
     return spec.problem, rep.solution.interior_vector()
 
 
-@pytest.mark.parametrize("eps", [1e-4, 5e-5])
+@pytest.fixture(scope="module")
+def jumps_1d_rim():
+    # 5/8 of the linear solution of example_1d_jumps: its gradient passes
+    # g only near the rims, so the penalty is active on a few rows, each
+    # with two gradient entries
+    prob = load_config(CONFIGS / "example_1d_jumps.json").problem
+    w = solve_linear_dirichlet(prob.matrix(), prob.h_interior())
+    return prob, 0.625 * w.interior_vector()
+
+
+@pytest.mark.parametrize("state, eps", [("ball_at_1e4", 1e-4),
+                                        ("ball_at_1e4", 5e-5),
+                                        ("jumps_1d_rim", 0.05)],
+                         ids=["0.0001", "5e-05", "1d-jumps-0.05"])
 def test_low_rank_newton_direction_matches_assembled_jacobian(
-        monkeypatch, ball_at_1e4, eps):
-    prob, w = ball_at_1e4
+        monkeypatch, request, state, eps):
+    prob, w = request.getfixturevalue(state)
     pf = PenaltyFn(eps)
     res, jac, active = _newton_system(prob, pf, w)
     assert 0 < active <= _LOW_RANK_ROWS
@@ -209,13 +222,14 @@ def test_inactive_penalty_newton_direction_factorizes_nothing(monkeypatch):
     assert active == 0
     ref = spla.spsolve(jac.tocsc(), -res)
     _forbid_factorization(monkeypatch, prob)
+    grads = _grads(prob, w)
 
-    def build(*args):
-        raise AssertionError("the Newton step built gradient terms")
+    def grad_ops():
+        raise AssertionError("the Newton step applied gradient terms")
 
-    monkeypatch.setattr(nidd, "_active_terms", build)
-    delta = _newton_direction(prob, pf, prob.g_interior(), _grads(prob, w),
-                              res, _GMRES_RTOL)
+    monkeypatch.setattr(prob, "grad_ops", grad_ops)
+    delta = _newton_direction(prob, pf, prob.g_interior(), grads, res,
+                              _GMRES_RTOL)
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -269,24 +283,6 @@ def test_pattern_fill_drops_the_zeros_the_sparse_sum_drops():
     mat = prob.matrix()
     assert mat.jacobian(prob.grad_ops(), np.zeros((w.size, 2))).nnz \
         == mat.local_matrix().nnz < mat._cache["jacobian"][0].nnz
-
-
-@pytest.mark.parametrize("eps", [1e-4, 5e-5])
-def test_active_row_terms_apply_as_the_full_sum_bit_for_bit(ball_at_1e4,
-                                                            eps):
-    # T is built on the active rows only; its rows of four entries keep the
-    # order of the full sparse sum, so T @ v rounds as that sum's does
-    prob, w = ball_at_1e4
-    scales, active = _scales(prob, PenaltyFn(eps), w)
-    assert 0 < active.size <= _LOW_RANK_ROWS
-    ref = sum(sp.diags(scales[:, k]) @ G
-              for k, G in enumerate(prob.grad_ops()))
-    T = nidd._active_terms(prob.grad_ops(), scales, active)
-    assert np.array_equal(np.flatnonzero(np.diff(T.indptr)), active)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = rng.standard_normal(w.size)
-        assert np.array_equal(T @ v, ref @ v)
 
 
 def test_second_solve_reuses_the_jacobian_pattern(monkeypatch):
