@@ -17,7 +17,8 @@ running cost h plus `effort`.  Each pool step calls every control's `act`
 once on its block of live rows and `h_cost`, `drift` and `sigma` once on
 all of them, so the rows h_cost sees over a simulation add up to its path
 steps.  The feedback policy's node table is column-major, one row per
-quantity and one column per lattice node, so a step gathers each stencil
+quantity and one column per lattice node, and the stencil is corner-major,
+one contiguous index and weight array per corner, so a step gathers each
 corner with one `take`.  Cost conventions: absolutely continuous policies
 price their push rate by the conjugate penalty; singular test controls pay
 the constraint weight g times their rate, and g along each impulse segment
@@ -30,8 +31,10 @@ one row of standard normals, while each keeps its own row of state.  Every
 path starts at the pool's first step, so the pool's step count is every
 path's clock.  The normals are drawn `_NORMALS_BUDGET // (groups * d)`
 steps at a time (at least one), and the buffer sits in a memory mapping of
-its own that is returned when the pool ends.  A path reads only its own
-seed's stream, so every estimate is independent of the pooling.
+its own that is returned when the pool ends.  A mask of the groups with
+live rows picks the groups a refill draws for, and the jumps of a group
+with no live row are skipped.  A path reads only its own seed's stream,
+so every estimate is independent of the pooling.
 """
 
 from __future__ import annotations
@@ -252,21 +255,26 @@ class PenalizedFeedback:
 
     def act(self, X, t, g_cost):
         cols, wts = interp_weights(self.grid, X)
-        # the corners in stencil order onto +0.0, as np.sum over the stencil
-        # axis adds them, so the values match it bit for bit
-        vals = np.zeros((self.table.shape[0], X.shape[0]))
-        for c in range(cols.shape[1]):
+        # the corners in stencil order, each a `take` of contiguous columns
+        # added into the first corner's buffer
+        vals = self.table.take(cols[:, 0], axis=1)
+        vals *= wts[:, 0]
+        for c in range(1, cols.shape[1]):
             corner = self.table.take(cols[:, c], axis=1)
             corner *= wts[:, c]
             vals += corner
         d = self.grid.dim
         grad = vals[:d]
-        norm = np.sqrt((grad * grad).sum(axis=0))
+        sq = grad[0] * grad[0]
+        for k in range(1, d):
+            sq += grad[k] * grad[k]
+        norm = np.sqrt(sq)
         # the unit gradient, or e_1 where the gradient vanishes
-        n = np.zeros_like(grad)
+        n = np.zeros(grad.shape)
         n[0] = 1.0
         np.divide(grad, norm, out=n, where=norm > 0)
-        return np.maximum(vals[d], 0.0), n.T, np.maximum(vals[d + 1], 0.0)
+        rate, effort = np.maximum(vals[d:], 0.0)
+        return rate, n.T, effort
 
 
 @dataclass
@@ -372,12 +380,15 @@ def _simulate_pool(params, jobs):
     written into the step's arrays.  The step charges the running cost h
     plus the returned effort, and pays each impulse of `control.pushes`
     along its segment.  Exited rows are dropped with one copy of the rows
-    that stay.
+    that stay.  Only then are the list of nonempty blocks and the mask of
+    the groups with live rows renewed; the mask is rebuilt when a refill
+    or a step's jumps next read it, so a pool without jumps builds it at
+    its refills alone.  A jump of a group with no live row is skipped.
 
     Each group's generator is made before the first step.  It yields the
     group's jumps first and then its increments, which every member reads,
     so each path sees the stream of its own seed and no path's result
-    depends on the others in the pool.  The groups with live rows refill
+    depends on the others in the pool.  The groups the mask names refill
     their rows of normals together, `_NORMALS_BUDGET // (groups * d)` steps
     at a time (at least one).
     """
@@ -455,24 +466,31 @@ def _simulate_pool(params, jobs):
     exited_out = np.zeros(n_total, dtype=bool)
     steps_out = np.zeros(n_total, dtype=int)
 
-    # the discount at each step, computed as exp(-q t) with t = k dt
-    disc = np.array([np.exp(-q * (k * dt)) for k in range(n_steps)])
+    # the discount at each step, exp(-q t) with t = k dt
+    disc = np.exp(-q * (np.arange(n_steps) * dt))
     chunk = min(max(_NORMALS_BUDGET // (n_groups * d), 1), n_steps)
     normals = _mapped_empty((n_groups, chunk, d))
+    # the nonempty blocks and the mask of the groups with live rows, both
+    # dropped when rows leave
+    blocks = live = None
 
     for it in range(n_steps):
         col = it % chunk
+        if blocks is None:
+            blocks = [(control, a, b) for control, a, b
+                      in zip(controls, bounds[:-1], bounds[1:]) if b > a]
+        if live is None and (col == 0 or it in due):
+            # rebuilt only for a refill or this step's jumps to read
+            live = np.bincount(group, minlength=n_groups) > 0
         if col == 0:
             # only the groups with live rows draw
-            for g in np.unique(group).tolist():
+            for g in np.flatnonzero(live).tolist():
                 rngs[g].standard_normal(out=normals[g])
         t = it * dt
 
         # running cost plus control effort at the left endpoint, one `act`
         # call on each control's block; the answers of several blocks are
         # written into the step's arrays
-        blocks = [(control, a, b) for control, a, b
-                  in zip(controls, bounds[:-1], bounds[1:]) if b > a]
         if len(blocks) == 1:
             rate, n_dir, effort = blocks[0][0].act(x, t, params.g_cost)
         else:
@@ -500,9 +518,12 @@ def _simulate_pool(params, jobs):
         x -= push
         x += noise
 
-        # jumps scheduled in (t, t+dt], applied at step end as own events
+        # jumps scheduled in (t, t+dt], applied at step end as own events;
+        # those of groups with no live row are skipped
         for g, z in due.pop(it, ()):
-            for a, b in zip(bounds[:-1], bounds[1:]):
+            if not live[g]:
+                continue
+            for _, a, b in blocks:
                 lo, hi = a + np.searchsorted(group[a:b], (g, g + 1))
                 x[lo:hi] += z
 
@@ -539,6 +560,7 @@ def _simulate_pool(params, jobs):
                                       (group, path, x, cost, rmax))
         if not path.size:
             break
+        blocks = live = None
 
     return [{
         "cost": cost_out[lo:hi].copy(),

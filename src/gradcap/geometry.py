@@ -9,7 +9,9 @@ domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -162,43 +164,39 @@ def interp_weights(grid, pts):
     """Multilinear interpolation stencils for points assumed inside O.
 
     Returns (cols, wts) with shape (n_pts, 2**dim): flat lattice indices and
-    convex weights.  Corner c of a 2D stencil steps +1 along axis 0 when bit
-    1 of c is set and along axis 1 when bit 0 is, so its weight is the
-    product of the matching (1 - frac) or frac factors.  Points are clamped
-    to the lattice hull, which is safe because O is contained in it.
+    convex weights, stored corner-major, so each corner's column is one
+    contiguous array.  Corner c steps +1 along axis 0 when bit dim - 1 of c
+    is set and along the last axis when bit 0 is, so its weight is the
+    product, in axis order, of the matching (1 - frac) or frac factors.
+    Points are clamped to the lattice hull, which is safe because O is
+    contained in it.
     """
     pts = np.asarray(pts, dtype=float)
-    dim = grid.dim
-    cols = np.empty((pts.shape[0], 2**dim), dtype=np.int64)
-    wts = np.empty((pts.shape[0], 2**dim))
-    idx = []
-    frac = []
-    for k in range(dim):
-        ax = grid.axes[k]
+    n = pts.shape[0]
+    # per axis, the (2, n) lower and upper node offsets and their factors
+    nodes, factors = [], []
+    for k, ax in enumerate(grid.axes):
         t = (pts[:, k] - ax[0]) / grid.h
-        # clamped in place by two ufuncs, cheaper per call than np.clip
-        i = np.floor(t).astype(np.int64)
+        # truncation is floor wherever the clamp keeps it; clamped in place
+        # by two ufuncs, cheaper per call than np.clip
+        i = t.astype(np.int64)
         np.maximum(i, 0, out=i)
         np.minimum(i, len(ax) - 2, out=i)
-        f = t - i
+        w = np.empty((2, n))
+        f = np.subtract(t, i, out=w[1])
         np.maximum(f, 0.0, out=f)
         np.minimum(f, 1.0, out=f)
-        idx.append(i)
-        frac.append(f)
-    if dim == 1:
-        (i,), (f,) = idx, frac
-        cols[:, 0], cols[:, 1] = i, i + 1
-        wts[:, 0], wts[:, 1] = 1.0 - f, f
-        return cols, wts
-    (i, j), (fx, fy) = idx, frac
-    ny = grid.shape[1]
-    base = i * ny + j
-    gx, gy = 1 - fx, 1 - fy
-    cols[:, 0], cols[:, 1] = base, base + 1
-    cols[:, 2], cols[:, 3] = base + ny, base + ny + 1
-    wts[:, 0], wts[:, 1] = gx * gy, gx * fy
-    wts[:, 2], wts[:, 3] = fx * gy, fx * fy
-    return cols, wts
+        np.subtract(1.0, f, out=w[0])
+        stride = math.prod(grid.shape[k + 1:])
+        node = np.empty((2, n), dtype=np.int64)
+        np.multiply(i, stride, out=node[0])
+        np.add(node[0], stride, out=node[1])
+        nodes.append(node)
+        factors.append(w)
+    # the corners of the axes so far, each split in two by the next axis
+    cols = reduce(lambda a, b: (a[:, None] + b).reshape(-1, n), nodes)
+    wts = reduce(lambda a, b: (a[:, None] * b).reshape(-1, n), factors)
+    return cols.T, wts.T
 
 
 class SolutionField:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (BoundViolation, GridMismatch, MaxIterationsExceeded,
@@ -162,6 +163,18 @@ def _residual_vec(problem, gamma, pf, u_int, h_int, g_int):
     return gamma @ u_int + pf.psi(grad_sq - g_int**2) - h_int, grads
 
 
+def _csr_rows(A, rows):
+    """`A[rows]` of a CSR matrix, entry for entry, sliced through `indptr`
+    without scipy's fancy-index path."""
+    start = A.indptr[rows]
+    count = A.indptr[rows + 1] - start
+    indptr = np.zeros(rows.size + 1, dtype=A.indptr.dtype)
+    np.cumsum(count, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], count)
+    return sp.csr_matrix((A.data[take], A.indices[take], indptr),
+                         shape=(rows.size, A.shape[1]))
+
+
 def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     """Solve jacobian delta = -res_vec at the iterate w whose gradient
     stack (D_k w)_k is `grads`.
@@ -189,7 +202,7 @@ def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     if active.size <= _LOW_RANK_ROWS:
         split = J
         if active.size:
-            rows = [G[active] for G in problem.grad_ops()]
+            rows = [_csr_rows(G, active) for G in problem.grad_ops()]
             s = scales[active].T
 
             def split(v):

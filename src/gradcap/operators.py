@@ -249,13 +249,15 @@ def build_nonlocal_parts(s, quad, grid):
         if not np.any(inside):
             continue
         lat_cols, wts = interp_weights(grid, shifted[inside])
+        # corner by corner, along the stencil's storage; each row's entries
+        # keep their order, which the CSR conversion (a stable sort by row)
+        # hands to the sum of J's duplicate entries
         r = np.flatnonzero(inside)
-        factor = (w * s_vals[inside])[:, None] * wts
-        inrow = grid.interior_row[lat_cols]
+        inrow = grid.interior_row[lat_cols.T]
         keep = inrow >= 0
-        rows.append(np.broadcast_to(r[:, None], lat_cols.shape)[keep])
+        rows.append(np.broadcast_to(r, inrow.shape)[keep])
         cols.append(inrow[keep])
-        vals.append(factor[keep])
+        vals.append((wts.T * (w * s_vals[inside]))[keep])
     if rows:
         J = sp.coo_matrix(
             (np.concatenate(vals),

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS
-from gradcap.config import build_spec
+from gradcap.config import build_spec, load_config
 from gradcap.errors import PushOutsideAdmissible, StartOutsideDomain
 from gradcap.geometry import (Ball, Box, SolutionField, build_grid,
                               interp_weights)
 from gradcap.levy import (BVDensity, CompoundPoisson,
                           bounded_variation_error_bound, build_quadrature,
-                          constant_density)
+                          constant_density, sample_jumps)
 from gradcap.nidd import SolverOptions, solve_nidd
 from gradcap.operators import (Coefficients, _vectorize_scalar,
                                build_node_gradient_ops, interior_gradient)
@@ -499,6 +499,67 @@ def test_bv_density_jobs_equal_separate_estimates(monkeypatch):
         assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
             == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
         assert a.discarded_bias_bound == b.discarded_bias_bound == bias
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        CONFIGS.glob("example_*.json")))
+def test_discount_table_rounds_as_the_scalar_exp(name):
+    # the pool evaluates exp(-q k dt) for every step k with one vector exp;
+    # at each shipped config's discount and dt it must round as the scalar
+    # exp of each step does, so no estimate depends on how it is evaluated
+    spec = load_config(CONFIGS / f"{name}.json")
+    par = flat_params(q=spec.problem.discount(), **spec.sde)
+    n_steps = int(np.ceil(par.t_max / par.dt))
+    table = np.exp(-par.q * (np.arange(n_steps) * par.dt))
+    scalar = [np.exp(-par.q * (k * par.dt)) for k in range(n_steps)]
+    assert _bits(table) == _bits(np.array(scalar))
+
+
+def _dead_group_jumps_case():
+    """Two atoms at 3 jumps per unit time each, dt 0.05 and a drift that
+    carries paths out of (-1, 1); path i of the first two jobs, in two
+    blocks, draws seed 3 + i, and the third job draws seeds of its own."""
+    lev = CompoundPoisson(atoms=(((0.3,), 3.0), ((-0.25,), 3.0)))
+    par = flat_params(domain=Box(lo=(-1,), hi=(1,)), levy=lev,
+                      drift=lambda X: -np.ones_like(X), t_max=3.0, dt=0.05,
+                      sigma=lambda X: np.full((1, 1, 1), 0.3))
+    jobs = [(null(), np.array([-0.5]), 16, 3),
+            (ctl.SingularControlSpec(n=(-1.0,), rate=0.5),
+             np.array([0.2]), 16, 3),
+            (null(), np.array([0.6]), 16, 40)]
+    return par, jobs
+
+
+def test_jumps_of_dead_groups_leave_pooled_estimates_unchanged(monkeypatch):
+    # groups leave the pool with jumps still scheduled, and live groups
+    # take two jumps in one step; normals are refilled every 4 steps
+    par, jobs = _dead_group_jumps_case()
+    alone = [estimate(par, *job) for job in jobs]
+    monkeypatch.setattr(ctl, "_NORMALS_BUDGET", 2**8)
+    pooled = ctl.estimate_jobs(par, jobs)
+    assert len({est.mean for est in alone}) == len(jobs)
+    for a, b in zip(alone, pooled, strict=True):
+        assert (b.mean, b.stderr, b.max_rate_observed, b.n_paths, b.seed) \
+            == (a.mean, a.stderr, a.max_rate_observed, a.n_paths, a.seed)
+
+    # each group's jump steps, as the pool schedules them, against the
+    # step count its last path stopped at
+    outs = ctl._simulate_pool(par, jobs)
+    n_steps = int(np.ceil(par.t_max / par.dt))
+    last = {}
+    for (_, _, _, seed), out in zip(jobs, outs):
+        for i, steps in enumerate(out["steps"].tolist()):
+            last[seed + i] = max(last.get(seed + i, 0), steps)
+    dead = double = 0
+    for seed, stop in last.items():
+        jumps = sample_jumps(par.levy, par.jump_truncation, par.t_max,
+                             np.random.default_rng(seed))
+        steps = [max(min(int(np.ceil(t / par.dt)) - 1, n_steps - 1), 0)
+                 for t, _ in jumps]
+        dead += sum(k >= stop for k in steps)
+        double += sum(steps.count(k) > 1 for k in set(steps) if k < stop)
+    assert all(out["exited"].any() for out in outs)
+    assert dead > 0 and double > 0
 
 
 def test_rows_leaving_two_blocks_at_one_step(monkeypatch):

@@ -153,6 +153,25 @@ def test_low_rank_newton_direction_matches_assembled_jacobian(
     assert np.max(np.abs(delta - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CONFIGS.glob("example_*.json")))
+def test_csr_row_slices_are_the_fancy_index_byte_for_byte(name):
+    # a low-rank Newton step slices each gradient operator to the active
+    # rows through indptr; the slice is scipy's G[rows], entry for entry
+    prob = load_config(CONFIGS / name).problem
+    n = prob.grid.n_interior
+    rng = np.random.default_rng(2)
+    row_sets = [np.arange(n), np.array([0, n - 1]), np.array([n // 2]),
+                np.sort(rng.choice(n, _LOW_RANK_ROWS, replace=False))]
+    for G in prob.grad_ops():
+        for rows in row_sets:
+            got, ref = nidd._csr_rows(G, rows), G[rows]
+            assert got.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_unconverged_low_rank_step_factorizes_the_jacobian(monkeypatch,
                                                           ball_at_1e4):
     # a GMRES that reports a missed tolerance sends the step to the

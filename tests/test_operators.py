@@ -244,6 +244,35 @@ def test_gradient_ops_are_pinned_byte_for_byte(name):
     assert digest.hexdigest() == GRADIENT_OPS_SHA256[name]
 
 
+# the same digest of the jump gather J of the shipped configs, taken before
+# the interpolation stencil was stored corner-major: J's duplicate entries
+# are summed after an unstable sort, so a changed entry order could round
+# them differently
+JUMP_GATHER_SHA256 = {
+    "example_1d_control":
+        "1ab1fd19c18b480b3c2b7168af5507dee4f9b7112fae8cfbb400f50c6c4339cf",
+    "example_1d_jumps":
+        "63b8ccc13855499496f9e133c0383bc97dae82bebe63d43c1b952bcb86e2be11",
+    "example_1d_tight":
+        "b1bbc5c17b70624bf3706c0487c69256ad693e1fbec897285df4343f684b0505",
+    "example_1d_unconstrained":
+        "c606cbbafd6609a36491f2144f24f46dba38c9ee22e07abac21ac5226e5bd3a4",
+    "example_2d_ball":
+        "a75fa74964c9b08a33fb889d1c2ff870698234316901930abcaa6d8901629de6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_GATHER_SHA256))
+def test_jump_gather_is_pinned_byte_for_byte(name):
+    J = load_config(CONFIGS / f"{name}.json").problem.matrix().jump_gather
+    digest = hashlib.sha256()
+    for a in (J.indptr, J.indices, J.data):
+        digest.update(str(a.dtype).encode())
+        digest.update(a.tobytes())
+    digest.update(str(J.shape).encode())
+    assert digest.hexdigest() == JUMP_GATHER_SHA256[name]
+
+
 def _shift_gradient(grid, values):
     """Per axis, the gradient at every lattice node by array shifts of the
     zero-extended values, and the node's case along that axis: 2 central

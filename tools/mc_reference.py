@@ -26,9 +26,11 @@ the unit ball and in a box, an impulse along (1, 1), a callable rate, a
 pooled call of four controls at two start points, and the same call with
 one base seed for all eight jobs, as `verify` seeds its entries; the
 exit flag, exit time (the horizon if the path did not exit) and cost of
-one path under the impulse control; and a 1D singular `verify` of three
-controls x 9000 paths, more seed groups than a normals buffer of 2^21
-holds at full width.
+one path under the impulse control; three pooled 1D jobs with
+compound-Poisson jumps at dt 0.05 whose seed groups leave the pool with
+jumps still scheduled, and take two jumps in one step while live; and a 1D
+singular `verify` of three controls x 9000 paths, more seed groups than a
+normals buffer of 2^21 holds at full width.
 Every control direction is a unit vector.  The whole run takes about 10 s
 on two cores.
 """
@@ -164,6 +166,7 @@ def library_cases():
     from gradcap import control as ctl
     from gradcap.config import load_config
     from gradcap.geometry import Ball, Box
+    from gradcap.levy import CompoundPoisson
     from gradcap.nidd import solve_nidd
 
     quad = load_config(CONFIGS / "example_2d_ball.json").quad
@@ -217,6 +220,27 @@ def library_cases():
     shared = [(c, x0, n, 40) for c, x0, n, _ in jobs]
     for i, est in enumerate(ctl.estimate_jobs(params, shared)):
         yield f"2d shared-seed pooled job {i} {_hex(est)}"
+
+    # seed groups that leave the pool with jumps still scheduled, and
+    # groups that take two jumps in one step: two atoms at 3 jumps per unit
+    # time each, dt 0.05 and a drift out of (-1, 1); path i of the first
+    # two jobs draws seed 3 + i
+    def ones(X):
+        return np.ones(np.atleast_2d(X).shape[0])
+
+    par = ctl.SdeParams(
+        domain=Box(lo=(-1.0,), hi=(1.0,)), drift=lambda X: -np.ones_like(X),
+        sigma=lambda X: np.full((1, 1, 1), 0.3), q=1.0, h_cost=ones,
+        g_cost=ones, levy=CompoundPoisson(atoms=(((0.3,), 3.0),
+                                                 ((-0.25,), 3.0))),
+        t_max=3.0, dt=0.05)
+    jobs = [(ctl.SingularControlSpec(n=(1.0,)), np.array([-0.5]), 16, 3),
+            (ctl.SingularControlSpec(n=(-1.0,), rate=0.5), np.array([0.2]),
+             16, 3),
+            (ctl.SingularControlSpec(n=(1.0,)), np.array([0.6]), 16, 40)]
+    yield "1d dead-group jumps " + " ".join(
+        f"job {i} {_hex(est)}"
+        for i, est in enumerate(ctl.estimate_jobs(par, jobs)))
 
     # 9000 seed groups, each of three paths, on example_1d_control
     prob = load_config(CONFIGS / "example_1d_control.json").problem
