@@ -380,10 +380,10 @@ def _simulate_pool(params, jobs):
     written into the step's arrays.  The step charges the running cost h
     plus the returned effort, and pays each impulse of `control.pushes`
     along its segment.  Exited rows are dropped with one copy of the rows
-    that stay.  Only then are the list of nonempty blocks and the mask of
-    the groups with live rows renewed; the mask is rebuilt when a refill
-    or a step's jumps next read it, so a pool without jumps builds it at
-    its refills alone.  A jump of a group with no live row is skipped.
+    that stay, and the list of nonempty blocks is renewed.  Each group
+    keeps a count of its live rows; an exit subtracts its rows from their
+    groups' counts, and the groups that reach 0 leave the mask of live
+    groups.  A jump of a group with no live row is skipped.
 
     Each group's generator is made before the first step.  It yields the
     group's jumps first and then its increments, which every member reads,
@@ -470,18 +470,17 @@ def _simulate_pool(params, jobs):
     disc = np.exp(-q * (np.arange(n_steps) * dt))
     chunk = min(max(_NORMALS_BUDGET // (n_groups * d), 1), n_steps)
     normals = _mapped_empty((n_groups, chunk, d))
-    # the nonempty blocks and the mask of the groups with live rows, both
-    # dropped when rows leave
-    blocks = live = None
+    # the nonempty blocks, dropped when rows leave; each group's live rows
+    # and whether it has any
+    blocks = None
+    left = np.diff(starts)
+    live = left > 0
 
     for it in range(n_steps):
         col = it % chunk
         if blocks is None:
             blocks = [(control, a, b) for control, a, b
                       in zip(controls, bounds[:-1], bounds[1:]) if b > a]
-        if live is None and (col == 0 or it in due):
-            # rebuilt only for a refill or this step's jumps to read
-            live = np.bincount(group, minlength=n_groups) > 0
         if col == 0:
             # only the groups with live rows draw
             for g in np.flatnonzero(live).tolist():
@@ -553,6 +552,9 @@ def _simulate_pool(params, jobs):
         rate_out[p] = rmax[done]
         exited_out[p] = ~inside[done]
         steps_out[p] = it + 1
+        gone = group[done]
+        np.subtract.at(left, gone, 1)
+        live[gone] = left[gone] > 0
         # take, not a mask: it copies the rows of x several times faster
         kept = np.flatnonzero(inside)
         bounds = bounds - np.searchsorted(done, bounds)
@@ -560,7 +562,7 @@ def _simulate_pool(params, jobs):
                                       (group, path, x, cost, rmax))
         if not path.size:
             break
-        blocks = live = None
+        blocks = None
 
     return [{
         "cost": cost_out[lo:hi].copy(),

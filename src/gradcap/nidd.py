@@ -8,19 +8,22 @@ Every linear system the solver meets, the linear Dirichlet problem and
 each Newton step alike, splits as (P - J) x = b: J is sparse and P has a
 cheap LU.  GMRES on the left-preconditioned system (I - P^-1 J) x = P^-1 b
 solves it; with J = 0 the first preconditioner solve is already exact.
-The linear problem and most Newton steps reuse one cached LU, that of the
-local M-matrix plus the jump mass, with J the jump gather less the
+The jump gather is split once per operator (OperatorMatrix): its near
+field, the entries on the sparsity pattern of the local M-matrix plus the
+jump mass, goes into P, and only the far rest F is applied as a product.
+The linear problem and most Newton steps reuse one cached LU, that of
+P = local M-matrix + jump mass - near gather, with J = F less the
 penalty's gradient terms.  Those terms are never stored: GMRES applies
 them on the few rows where the penalty is active, from the gradient
 operators the residual reads (Jacobian-free Newton-Krylov, Knoll & Keyes
-2004).  A Newton step with more active rows factors P = local + jump
-mass + gradient terms, filled into a sparsity pattern the operator caches
-at the first such step, and keeps J the jump gather.  Each iterate's
-gradient is computed once, by the residual that accepted it.  GMRES
-solves to a relative 1e-13, except on a Newton step that reuses the
-cached LU: that step is inexact, solved to the forcing tolerance
-_FORCING.  The runtime diagnostics check the a priori sandwich
-0 <= u <= C1 and record the gradient sup.
+2004).  A Newton step with more active rows factors that P plus the
+gradient terms, filled into a sparsity pattern the operator caches at the
+first such step, and keeps J = F.  Each iterate's gradient is computed
+once, by the residual that accepted it.  GMRES solves to a relative
+1e-13, except on a Newton step that reuses the cached LU: that step is
+inexact, solved to the forcing tolerance _FORCING.  The runtime
+diagnostics check the a priori sandwich 0 <= u <= C1 and record the
+gradient sup.
 """
 
 from __future__ import annotations
@@ -50,15 +53,16 @@ _GMRES_RESTART = 60
 _GMRES_RTOL = 1e-13
 # the relative tolerance of an inexact Newton step on the cached-LU split
 # (Dembo, Eisenstat & Steihaug 1982).  There P is the eps-independent local
-# M-matrix, so the preconditioned residual GMRES reads stays within a fixed
-# factor of the true one; the factored split's P carries the 1/eps gradient
-# terms and stays at _GMRES_RTOL.  Tighter is not safer: on
-# example_1d_control at eps 1e-4, forcings of 1e-5, 1e-2 and
-# min(1e-2, residual) each fail a solve that 1e-4 passes.
+# M-matrix, which includes the jump mass and the near jump gather, so the
+# preconditioned residual GMRES reads stays within a fixed factor of the
+# true one; the factored split's P carries the 1/eps gradient terms and
+# stays at _GMRES_RTOL.  Tighter is not safer: on example_1d_control at
+# eps 1e-4, forcings of 1e-5, 1e-2 and min(1e-2, residual) each fail a
+# solve that 1e-4 passes.
 _FORCING = 1e-4
 # a Newton step keeps the cached local LU while the penalty is active on at
 # most this many rows: in exact arithmetic each active row adds at most one
-# GMRES iteration to the base solve's (16 or fewer on the shipped configs),
+# GMRES iteration to the base solve's (12 or fewer on the shipped configs),
 # and about half the restart window leaves room for both
 _LOW_RANK_ROWS = 32
 # a cold start counts as a solve at this eps, the first of
@@ -101,7 +105,8 @@ def _as_interior(matrix, rhs):
 
 def _solve_split(lu, J, b, rtol=_GMRES_RTOL):
     """Solve (P - J) x = b, where `lu` factorizes P and J is a sparse
-    matrix or a callable v -> J v.
+    matrix or a callable v -> J v: the far jump gather, or it less the
+    penalty's gradient terms.
 
     GMRES runs on the left-preconditioned system (I - P^-1 J) x = P^-1 b
     from x = P^-1 b, so its stopping test reads the preconditioned
@@ -141,8 +146,9 @@ def _check_linear_residual(matrix, rhs_vec, u):
 def solve_linear_dirichlet(matrix, rhs):
     """Solve gamma u = rhs at interior nodes with u = 0 elsewhere.
 
-    P is the cached factorization of the local M-matrix plus the jump mass,
-    and the jump gather is applied as a matrix-vector product.
+    P is the cached factorization of the local M-matrix plus the jump mass
+    less the near jump gather, and the far gather is applied as a
+    matrix-vector product.
     """
     rhs_vec = _as_interior(matrix, rhs)
     if not rhs_vec.size or float(np.max(np.abs(rhs_vec))) == 0.0:
@@ -151,7 +157,7 @@ def solve_linear_dirichlet(matrix, rhs):
         lu = matrix.local_solver()
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    u, _ = _solve_split(lu, matrix.jump_gather, rhs_vec)
+    u, _ = _solve_split(lu, matrix.far_gather(), rhs_vec)
     _check_linear_residual(matrix, rhs_vec, u)
     return SolutionField.from_interior_vector(matrix.grid, u)
 
@@ -180,33 +186,34 @@ def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
     stack (D_k w)_k is `grads`.
 
     The Jacobian is gamma + sum_k diag(s_k) G_k, s_k = 2 psi' D_k w, and
-    the gradient terms vanish off the penalty's active set.  With at most
-    _LOW_RANK_ROWS active rows, the step reuses the cached LU of the local
-    M-matrix plus the jump mass and splits as local - (J - T), J the jump
-    gather and T the gradient terms.  T is never stored: each GMRES matvec
-    applies it on the active rows, sum_k s_k (G_k v) with G_k sliced to
-    those rows once per step, and GMRES stops at the relative tolerance
-    `forcing`.  A low-rank solve whose GMRES misses it falls back to the
-    factored split below; with no active row the two splits are the same
-    and no term is applied.  Otherwise P = local + the gradient terms,
-    filled into the sparsity pattern OperatorMatrix.jacobian caches, is
-    factorized, the split is P - J, and GMRES solves it to _GMRES_RTOL
-    whatever `forcing` is.
+    the gradient terms vanish off the penalty's active set.  gamma splits
+    as P - F, P the local M-matrix plus the jump mass less the near jump
+    gather and F the far gather (OperatorMatrix.local_matrix and
+    far_gather).  With at most _LOW_RANK_ROWS active rows, the step reuses
+    the cached LU of P and splits as P - (F - T), T the gradient terms.
+    T is never stored: each GMRES matvec applies it on the active rows,
+    sum_k s_k (G_k v) with G_k sliced to those rows once per step, and
+    GMRES stops at the relative tolerance `forcing`.  A low-rank solve
+    whose GMRES misses it falls back to the factored split below; with no
+    active row the two splits are the same and no term is applied.
+    Otherwise P + T, filled into the sparsity
+    pattern OperatorMatrix.jacobian caches, is factorized, the split is
+    (P + T) - F, and GMRES solves it to _GMRES_RTOL whatever `forcing` is.
     Raises RuntimeError when the factored matrix is exactly singular.
     """
     mat = problem.matrix()
-    J = mat.jump_gather
+    F = mat.far_gather()
     slope = 2.0 * pf.psi_prime(np.sum(grads * grads, axis=1) - g_int**2)
     scales = slope[:, None] * grads
     active = np.flatnonzero(slope)
     if active.size <= _LOW_RANK_ROWS:
-        split = J
+        split = F
         if active.size:
             rows = [_csr_rows(G, active) for G in problem.grad_ops()]
             s = scales[active].T
 
             def split(v):
-                w = J @ v
+                w = F @ v
                 w[active] -= sum(s_k * (G @ v) for s_k, G in zip(s, rows))
                 return w
 
@@ -215,7 +222,7 @@ def _newton_direction(problem, pf, g_int, grads, res_vec, forcing):
         if converged or not active.size:
             return delta
     P = mat.jacobian(problem.grad_ops(), scales)
-    return _solve_split(spla.splu(P), J, -res_vec)[0]
+    return _solve_split(spla.splu(P), F, -res_vec)[0]
 
 
 _STOP_MESSAGES = {

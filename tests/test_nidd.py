@@ -58,6 +58,33 @@ def test_linear_dirichlet_residual_contract_with_jumps():
     assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
 
 
+def _count_lu_solves(monkeypatch, mat):
+    """Route the solves of mat's cached LU through a counter; returns the
+    list that gets one entry per solve."""
+    lu = mat.local_solver()
+    solves = []
+
+    class CountingLU:
+        def solve(self, b):
+            solves.append(1)
+            return lu.solve(b)
+
+    monkeypatch.setattr(mat, "local_solver", CountingLU)
+    return solves
+
+
+def test_linear_dirichlet_gmres_products_on_the_ball(monkeypatch):
+    # each GMRES product applies one LU solve, after the one that starts
+    # GMRES.  With the jump gather's near field in P, the ball's linear
+    # solve to _GMRES_RTOL takes 12 products; with all of the gather
+    # applied as a product, it took 16
+    prob = load_config(CONFIGS / "example_2d_ball.json").problem
+    mat = prob.matrix()
+    solves = _count_lu_solves(monkeypatch, mat)
+    solve_linear_dirichlet(mat, prob.h_interior())
+    assert len(solves) - 1 == 12
+
+
 @pytest.mark.parametrize("name", ["example_2d_ball.json",
                                   "example_1d_jumps.json"])
 def test_linear_dirichlet_matches_direct_solve(name):
@@ -212,14 +239,7 @@ def test_cached_split_newton_step_stops_at_the_forcing(monkeypatch,
     mat = prob.matrix()
     lu = mat.local_solver()
     _forbid_factorization(monkeypatch, prob)
-    solves = []
-
-    class CountingLU:
-        def solve(self, b):
-            solves.append(1)
-            return lu.solve(b)
-
-    monkeypatch.setattr(mat, "local_solver", CountingLU)
+    solves = _count_lu_solves(monkeypatch, mat)
     counts, deltas = [], []
     for rtol in (_GMRES_RTOL, _FORCING):
         solves.clear()

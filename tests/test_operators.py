@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import CONFIGS, empty_quadrature
 from gradcap.config import load_config
@@ -271,6 +272,36 @@ def test_jump_gather_is_pinned_byte_for_byte(name):
         digest.update(a.tobytes())
     digest.update(str(J.shape).encode())
     assert digest.hexdigest() == JUMP_GATHER_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_GATHER_SHA256))
+def test_split_takes_the_near_gather_into_an_m_matrix(name):
+    # gamma = P - F: P is local + diag(jump_mass) less the gather entries
+    # on its pattern, F the rest of the gather
+    prob = load_config(CONFIGS / f"{name}.json").problem
+    mat = prob.matrix()
+    P, F = mat.local_matrix(), mat.far_gather()
+    gamma, diff = mat.gamma_matrix(), (P - F).tocsr()
+    base = (mat.local_part + sp.diags(mat.jump_mass)).tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(diff, attr).tobytes() == getattr(gamma, attr).tobytes()
+    for attr in ("indptr", "indices"):
+        assert getattr(P, attr).tobytes() == getattr(base, attr).tobytes()
+    # an M-matrix: off-diagonals <= 0 and row sums >= min c > 0, up to the
+    # round-off of summing a row
+    off = P - sp.diags(P.diagonal())
+    assert off.nnz == 0 or off.data.max() <= 0.0
+    c = prob.coeffs.c(prob.grid.interior_points())
+    row_sum = np.asarray(P.sum(axis=1)).ravel()
+    row_abs = np.asarray(abs(P).sum(axis=1)).ravel()
+    assert c.min() > 0
+    assert np.all(row_sum >= c.min() - 16 * np.finfo(float).eps * row_abs)
+    # F is nonnegative, stores no zero and shares no position with P
+    assert np.all(F.data > 0.0)
+    n = P.shape[0]
+    keys = [np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
+            for A in (P, F)]
+    assert np.intersect1d(*keys).size == 0
 
 
 def _shift_gradient(grid, values):

@@ -18,15 +18,19 @@ the eps-0.1 field, `simulate` (null, constant and penalized policies) and
 `solve-nidd` on `example_1d_tight` at eps 1e-4, where a bare Newton solve
 fails and the continuation gets through.
 The library cases print the node count and total mass in hex of the
-`example_2d_ball` quadrature; the sha256 of the `PenalizedFeedback` node
-table of every shipped config at eps 0.1, so that a change to the policy
-shows even where no sampled path reads the moved column; and the mean,
-standard error and largest push rate in hex of 2D estimates: penalized verification with compound-Poisson jumps in
-the unit ball and in a box, an impulse along (1, 1), a callable rate, a
-pooled call of four controls at two start points, and the same call with
-one base seed for all eight jobs, as `verify` seeds its entries; the
-exit flag, exit time (the horizon if the path did not exit) and cost of
-one path under the impulse control; three pooled 1D jobs with
+`example_2d_ball` quadrature; for every shipped config, the number of
+GMRES products that `solve_linear_dirichlet` makes on its right-hand side
+h and the sha256 of the `local_matrix()` whose LU preconditions them, so
+that a change to the solver's split shows even where no field moves; the
+sha256 of the `PenalizedFeedback` node table of every shipped config at
+eps 0.1, so that a change to the policy shows even where no sampled path
+reads the moved column; and the mean, standard error and largest push
+rate in hex of 2D estimates: penalized verification with compound-Poisson
+jumps in the unit ball and in a box, an impulse along (1, 1), a callable
+rate, a pooled call of four controls at two start points, and the same
+call with one base seed for all eight jobs, as `verify` seeds its
+entries; the exit flag, exit time (the horizon if the path did not exit)
+and cost of one path under the impulse control; three pooled 1D jobs with
 compound-Poisson jumps at dt 0.05 whose seed groups leave the pool with
 jumps still scheduled, and take two jumps in one step while live; and a 1D
 singular `verify` of three controls x 9000 paths, more seed groups than a
@@ -162,6 +166,32 @@ def _penalized_verify(name, prob, params, x0s):
                f"tol={e['tolerance'].hex()} pass={e['pass']}")
 
 
+def _linear_split(cfg):
+    """The GMRES products of the linear solve of `cfg` (each applies one
+    solve of the cached LU, after the one that starts GMRES) and the
+    sha256 of the factored matrix's CSR arrays."""
+    from gradcap.config import load_config
+    from gradcap.nidd import solve_linear_dirichlet
+
+    prob = load_config(cfg).problem
+    mat = prob.matrix()
+    lu = mat.local_solver()
+    solves = []
+
+    class CountingLU:
+        def solve(self, b):
+            solves.append(1)
+            return lu.solve(b)
+
+    mat.local_solver = CountingLU
+    solve_linear_dirichlet(mat, prob.h_interior())
+    P = mat.local_matrix()
+    digest = hashlib.sha256(b"".join(
+        np.ascontiguousarray(a).tobytes()
+        for a in (P.indptr, P.indices, P.data))).hexdigest()
+    return len(solves) - 1, digest
+
+
 def library_cases():
     from gradcap import control as ctl
     from gradcap.config import load_config
@@ -172,6 +202,10 @@ def library_cases():
     quad = load_config(CONFIGS / "example_2d_ball.json").quad
     yield (f"quadrature 2d ball nodes={len(quad.weights)} "
            f"total_mass={quad.total_mass.hex()}")
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        products, digest = _linear_split(cfg)
+        yield (f"linear split {cfg.stem} gmres_products={products} "
+               f"local_matrix={digest}")
     for cfg in sorted(CONFIGS.glob("*.json")):
         prob = load_config(cfg).problem
         policy = ctl.PenalizedFeedback(solve_nidd(prob, 0.1).solution, 0.1,
